@@ -104,6 +104,14 @@ def _overhead_rounds(
 def test_runtime_scaling(benchmark, runtime_workers, tmp_path):
     if sys.version_info < (3, 11):
         pytest.skip("TOML experiment specs need Python 3.11+ (stdlib tomllib)")
+    # Wall-clock bounds are collected and asserted together at the end,
+    # so one slow host reading never hides a later functional check.
+    tripped = []
+
+    def tripwire(ok: bool, message: str) -> None:
+        if not ok:
+            tripped.append(message)
+
     cell = _workload_cell()
     assert (cell.op, cell.precision, cell.approach) == ("lu", "float32", "runtime")
     problems, n = cell.policy.batch, cell.size
@@ -152,9 +160,10 @@ def test_runtime_scaling(benchmark, runtime_workers, tmp_path):
         f"{warm.workers} workers, {warm.chunks} chunks): {warm.wall_s:.2f}s "
         f"| speedup {speedup:.1f}x"
     )
-    assert speedup >= 2.0, (
+    tripwire(
+        speedup >= 2.0,
         f"runtime speedup {speedup:.2f}x < 2x "
-        f"(serial {serial_s:.2f}s vs {warm.wall_s:.2f}s)"
+        f"(serial {serial_s:.2f}s vs {warm.wall_s:.2f}s)",
     )
 
     # Metrics overhead: the fleet registry must ride along for free.
@@ -182,9 +191,10 @@ def test_runtime_scaling(benchmark, runtime_workers, tmp_path):
         f"| overhead {overhead:+.1%}"
     )
     # 5% relative plus a small absolute slack for timer noise on short runs.
-    assert wall_on <= wall_off * 1.05 + 0.02, (
+    tripwire(
+        wall_on <= wall_off * 1.05 + 0.02,
         f"metrics overhead {overhead:+.1%} exceeds 5% "
-        f"({wall_on:.3f}s vs {wall_off:.3f}s)"
+        f"({wall_on:.3f}s vs {wall_off:.3f}s)",
     )
 
     # Sanitizer-off overhead: the off path's only addition is one
@@ -215,9 +225,10 @@ def test_runtime_scaling(benchmark, runtime_workers, tmp_path):
         f"sanitizer default: {wall_default:.3f}s | forced off: "
         f"{wall_forced:.3f}s | overhead {sanitizer_overhead:+.1%}"
     )
-    assert wall_default <= wall_forced * 1.02 + 0.02, (
+    tripwire(
+        wall_default <= wall_forced * 1.02 + 0.02,
         f"sanitizer-off overhead {sanitizer_overhead:+.1%} exceeds 2% "
-        f"({wall_default:.3f}s vs {wall_forced:.3f}s)"
+        f"({wall_default:.3f}s vs {wall_forced:.3f}s)",
     )
 
     # A sanitized launch may cost more, but must not perturb numerics:
@@ -268,9 +279,10 @@ def test_runtime_scaling(benchmark, runtime_workers, tmp_path):
         f"resilience on: {wall_resilient:.3f}s | off: {wall_bare:.3f}s "
         f"| overhead {resilience_overhead:+.1%}"
     )
-    assert wall_resilient <= wall_bare * 1.02 + 0.02, (
+    tripwire(
+        wall_resilient <= wall_bare * 1.02 + 0.02,
         f"resilience overhead {resilience_overhead:+.1%} exceeds 2% "
-        f"({wall_resilient:.3f}s vs {wall_bare:.3f}s)"
+        f"({wall_resilient:.3f}s vs {wall_bare:.3f}s)",
     )
 
     # Profiler-off tripwire: with no tracer active the profile layer must
@@ -301,9 +313,10 @@ def test_runtime_scaling(benchmark, runtime_workers, tmp_path):
         f"profiler default: {wall_profiled:.3f}s | disabled: "
         f"{wall_unprofiled:.3f}s | overhead {profiler_overhead:+.1%}"
     )
-    assert wall_profiled <= wall_unprofiled * 1.02 + 0.02, (
+    tripwire(
+        wall_profiled <= wall_unprofiled * 1.02 + 0.02,
         f"tracing-off profiler overhead {profiler_overhead:+.1%} exceeds 2% "
-        f"({wall_profiled:.3f}s vs {wall_unprofiled:.3f}s)"
+        f"({wall_profiled:.3f}s vs {wall_unprofiled:.3f}s)",
     )
 
     # Logging tripwire: REPRO_LOG is unset here, so the default launch
@@ -343,9 +356,10 @@ def test_runtime_scaling(benchmark, runtime_workers, tmp_path):
         f"logging off: {wall_unlogged:.3f}s | on: {wall_logged:.3f}s "
         f"| off-path overhead {log_overhead:+.1%}"
     )
-    assert wall_unlogged <= wall_logged * 1.02 + 0.02, (
+    tripwire(
+        wall_unlogged <= wall_logged * 1.02 + 0.02,
         f"logging-off overhead {log_overhead:+.1%} exceeds 2% "
-        f"({wall_unlogged:.3f}s vs {wall_logged:.3f}s)"
+        f"({wall_unlogged:.3f}s vs {wall_logged:.3f}s)",
     )
     # The logged launch is bitwise-identical to the unlogged (and serial)
     # one, and its sink carries schema-stamped, span-stamped records.
@@ -390,3 +404,4 @@ def test_runtime_scaling(benchmark, runtime_workers, tmp_path):
     benchmark.extra_info["profiler_off_overhead"] = profiler_overhead
     benchmark.extra_info["logging_off_overhead"] = log_overhead
     benchmark.extra_info["profile"] = profile.to_dict()
+    assert not tripped, "; ".join(tripped)

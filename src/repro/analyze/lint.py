@@ -8,7 +8,7 @@ RPR001    Shape/stride-dependent reductions (``np.einsum`` with a
           contracted subscript, ``.dot``, axis-less ``.sum()``) in
           kernel code.  ``repro.runtime`` guarantees chunked ==
           unsharded *bitwise*; a reduction whose accumulation order can
-          vary with operand shapes breaks it (see ``batch_dot``).
+          vary with operand shapes breaks it.
 RPR002    ``SharedMemory.write`` in a device-kernel function with no
           reachable ``sync()`` in the same function: a cross-thread
           publish with no barrier.
@@ -169,9 +169,9 @@ def _check_rpr001(tree: ast.Module) -> List[Tuple[int, int, str]]:
                             node.lineno,
                             node.col_offset,
                             "reducing np.einsum: accumulation order is "
-                            "shape/stride-dependent; use batch_dot or an "
-                            "explicit elementwise-multiply + axis sum for "
-                            "the chunked==unsharded bitwise guarantee",
+                            "shape/stride-dependent; use an explicit "
+                            "elementwise-multiply + axis sum for the "
+                            "chunked==unsharded bitwise guarantee",
                         )
                     )
         elif name == "dot" and isinstance(func, ast.Attribute):
@@ -180,7 +180,7 @@ def _check_rpr001(tree: ast.Module) -> List[Tuple[int, int, str]]:
                     node.lineno,
                     node.col_offset,
                     ".dot() dispatches to BLAS with shape-dependent "
-                    "blocking; use batch_dot / @ on fixed axes",
+                    "blocking; use (x * y).sum(axis=...) or @ on fixed axes",
                 )
             )
         elif name == "sum" and isinstance(func, ast.Attribute):

@@ -1,19 +1,20 @@
 """The SIMT block-execution engine.
 
-:class:`BlockEngine` is the substrate the device kernels
-(:mod:`repro.kernels.device`) run on.  A kernel is ordinary Python that
+:class:`BlockEngine` is the substrate the device kernels'
+*cost programs* (:mod:`repro.kernels.device`) run on.  A cost program is
+ordinary Python that walks one thread block through its algorithm and
 
-* keeps its matrix in *register tiles* (NumPy arrays it owns),
-* moves data through :class:`~repro.gpu.shared_memory.SharedMemory`
-  objects allocated from the engine, and
+* reads and writes :class:`~repro.gpu.shared_memory.SharedMemory`
+  objects allocated from the engine, at the word indices the block
+  touches (so the race sanitizer sees the real protocol), and
 * reports every hardware event (FLOP groups, shared accesses, syncs,
   global transfers) through the ``charge_*`` methods.
 
 Because the paper's kernels are branch-free (no pivoting; fully unrolled
 register code), *every block executes the identical instruction stream*.
-The engine exploits that: the functional state carries a leading batch
-dimension so thousands of problems are computed in one NumPy pass, while
-the cycle cost is accounted once per block.
+The cycle cost is therefore accounted once per block, on a batch-1
+engine, and depends on the problem shape alone; the numerics of the
+whole batch run separately in :mod:`repro.kernels.batched`.
 
 Cost model (this repo's "measured"):
 

@@ -12,8 +12,10 @@ with merged counters and warm calibration caches -- use
 """
 
 from .alternatives import (
+    CholeskyResult,
     QrExplicit,
     cholesky_factor,
+    cholesky_factor_flagged,
     cholesky_qr,
     givens_qr,
     gram_schmidt_qr,
@@ -55,8 +57,10 @@ from .validate import (
 )
 
 __all__ = [
+    "CholeskyResult",
     "QrExplicit",
     "cholesky_factor",
+    "cholesky_factor_flagged",
     "cholesky_qr",
     "givens_qr",
     "gram_schmidt_qr",

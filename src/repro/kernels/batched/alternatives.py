@@ -29,7 +29,9 @@ from .trsm import solve_lower
 from .validate import as_batch, check_square_batch, check_tall_batch
 
 __all__ = [
+    "CholeskyResult",
     "cholesky_factor",
+    "cholesky_factor_flagged",
     "cholesky_qr",
     "gram_schmidt_qr",
     "modified_gram_schmidt_qr",
@@ -46,18 +48,47 @@ class QrExplicit:
     r: np.ndarray
 
 
+@dataclasses.dataclass(frozen=True)
+class CholeskyResult:
+    """Lower Cholesky factors plus per-problem not-HPD flags."""
+
+    #: ``L`` with ``A = L L^H`` (upper triangle zero); NaN where flagged.
+    lower: np.ndarray
+    #: Problems that hit a non-positive pivot.
+    not_hpd: np.ndarray
+
+
 def cholesky_factor(a: np.ndarray, fast_math: bool = True) -> np.ndarray:
     """Batched Cholesky: lower L with ``A = L L^H`` for HPD matrices.
 
-    Left-looking column sweep, vectorized over the batch.  Raises
-    :class:`SingularMatrixError` if any matrix is not positive definite
-    (non-positive pivot).
+    Raises :class:`SingularMatrixError` if any matrix is not positive
+    definite (non-positive pivot); :func:`cholesky_factor_flagged` flags
+    such problems one by one instead.
+    """
+    result = cholesky_factor_flagged(a, fast_math=fast_math)
+    if result.not_hpd.any():
+        raise SingularMatrixError(
+            f"{int(np.count_nonzero(result.not_hpd))} of {len(result.not_hpd)} "
+            "matrices are not positive definite"
+        )
+    return result.lower
+
+
+def cholesky_factor_flagged(a: np.ndarray, fast_math: bool = True) -> CholeskyResult:
+    """Batched Cholesky that flags non-HPD problems instead of raising.
+
+    Left-looking column sweep, vectorized over the batch.  A problem
+    whose pivot is not positive is flagged in ``not_hpd`` and its factor
+    is NaN; every other problem's factor is exactly what it would be in
+    a batch without it.
     """
     a = as_batch(a)
     check_square_batch(a)
     mode = arithmetic_mode(fast_math)
     batch, n, _ = a.shape
     chol = np.zeros_like(a)
+    not_hpd = np.zeros(batch, dtype=bool)
+    one = np.ones((), dtype=a.real.dtype)
     for j in range(n):
         if j:
             row = chol[:, j, :j]
@@ -66,13 +97,9 @@ def cholesky_factor(a: np.ndarray, fast_math: bool = True) -> np.ndarray:
             ).real
         else:
             diag_acc = a[:, j, j].real
-        if np.any(diag_acc <= 0):
-            bad = int(np.count_nonzero(diag_acc <= 0))
-            raise SingularMatrixError(
-                f"{bad} of {batch} matrices are not positive definite "
-                f"(column {j})"
-            )
-        pivot = mode.sqrt(diag_acc.astype(a.real.dtype))
+        bad = diag_acc <= 0
+        not_hpd |= bad
+        pivot = mode.sqrt(np.where(bad, one, diag_acc).astype(a.real.dtype))
         chol[:, j, j] = pivot.astype(a.dtype)
         if j + 1 < n:
             if j:
@@ -82,7 +109,8 @@ def cholesky_factor(a: np.ndarray, fast_math: bool = True) -> np.ndarray:
             else:
                 lower = a[:, j + 1 :, j]
             chol[:, j + 1 :, j] = mode.divide(lower, pivot[:, None]).astype(a.dtype)
-    return chol
+    chol[not_hpd] = np.nan
+    return CholeskyResult(lower=chol, not_hpd=not_hpd)
 
 
 def cholesky_qr(a: np.ndarray, fast_math: bool = True) -> QrExplicit:

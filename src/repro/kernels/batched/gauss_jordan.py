@@ -79,7 +79,7 @@ def gauss_jordan_solve(
         # Eliminate the pivot column from every other row.
         col = aug[:, :, j].copy()
         col[:, j] = 0
-        aug[:, :, j:] -= col[:, :, None] * aug[:, j, None, j:]
+        aug[:, :, j:] -= np.einsum("bi,bj->bij", col, aug[:, j, j:])
 
     if on_singular == "raise" and not_solved.any():
         raise SingularMatrixError(

@@ -27,7 +27,14 @@ from ._arith import arithmetic_mode
 from .trsm import solve_upper
 from .validate import as_batch, check_tall_batch
 
-__all__ = ["QrFactors", "qr_factor", "qr_unpack", "apply_qt", "qr_solve"]
+__all__ = [
+    "QrFactors",
+    "qr_factor",
+    "qr_unpack",
+    "apply_qt",
+    "qr_solve",
+    "qr_solve_with_taus",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,6 +165,13 @@ def qr_solve(a: np.ndarray, b: np.ndarray, fast_math: bool = True) -> np.ndarray
     Implements Section III-D: append ``b``, factor, and back-substitute
     ``R x = Q^H b``.
     """
+    return qr_solve_with_taus(a, b, fast_math)[0]
+
+
+def qr_solve_with_taus(
+    a: np.ndarray, b: np.ndarray, fast_math: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`qr_solve` that also returns the reflectors' taus."""
     a = as_batch(a)
     check_tall_batch(a)
     batch, m, n = a.shape
@@ -166,8 +180,8 @@ def qr_solve(a: np.ndarray, b: np.ndarray, fast_math: bool = True) -> np.ndarray
     if squeeze:
         b_arr = b_arr[..., None]
     aug = np.concatenate([a, b_arr], axis=2)
-    aug, _ = _householder_sweep(aug, n, fast_math)
+    aug, taus = _householder_sweep(aug, n, fast_math)
     r = aug[:, :n, :n]
     qtb = aug[:, :n, n:]
     x = solve_upper(np.triu(r), qtb, fast_math=fast_math)
-    return x[..., 0] if squeeze else x
+    return (x[..., 0] if squeeze else x), taus

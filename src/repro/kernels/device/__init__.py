@@ -1,8 +1,12 @@
 """Device kernels: the Section IV/V implementations on the SIMT engine.
 
-Each kernel computes real numerics (identical to :mod:`repro.kernels.batched`)
-while charging every hardware event to the block engine -- the source of
-this repo's "measured" curves.
+Each per-block kernel takes its numerics from :mod:`repro.kernels.batched`
+and pairs them with a shape-only *cost program* that charges every
+hardware event of one thread block to the block engine -- the source of
+this repo's "measured" curves.  A cost program's launch is memoized per
+shape (see :func:`repro.kernels.device.base.launch`).  The per-thread
+kernels take their numerics from the same routines and price the launch
+with a DRAM-traffic and register-spill model.
 """
 
 from .base import (

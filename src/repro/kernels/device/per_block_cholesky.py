@@ -7,7 +7,9 @@ concerns at all.  The mapping mirrors the LU kernel: the diagonal thread
 computes ``1/sqrt(pivot)`` (one rsqrt -- cheaper than LU's divide plus
 QR's sqrt+divides), the scaled column is published through shared memory,
 and the trailing Hermitian update touches only the lower triangle, which
-is why its per-column estimate is about half of LU's rank-1 cost.
+is why its per-column estimate is about half of LU's rank-1 cost.  The
+factors come from
+:func:`repro.kernels.batched.alternatives.cholesky_factor_flagged`.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ import numpy as np
 
 from ...gpu.device import QUADRO_6000, DeviceSpec
 from ...model.block_config import BlockConfig
-from ..batched._arith import arithmetic_mode
+from ..batched.alternatives import cholesky_factor_flagged
 from .base import (
     BlockKernel,
     DeviceKernelResult,
+    as_problems,
     breakdown_detector,
+    launch,
     nonfinite_breakdowns,
 )
 
@@ -46,6 +50,42 @@ def cholesky_flops(n: int) -> float:
     return float(n) ** 3 / 3.0
 
 
+def _cholesky_costs(kernel: BlockKernel) -> None:
+    eng = kernel.engine
+    n, cost, credit = kernel.n, kernel.cost, kernel.credit
+    for j in range(n):
+        panel = j // kernel.r
+        N = kernel.column_tile_rows(j)
+        with eng.phase(f"panel{panel}:Column Op"):
+            # Diagonal thread: pivot = A[j][j] (real for HPD), rsqrt,
+            # publish the inverse square root.
+            kernel.sh_scalar.write(0, 0)
+            eng.charge_sqrt(1, useful_flops=0)
+            eng.charge_div(1, useful_flops=0)
+            eng.charge_shared(2)
+            eng.sync()
+
+            # Scale the column: L[j:, j] = A[j:, j] / sqrt(pivot), and
+            # publish it for the trailing update.
+            kernel.sh_scalar.read(0)
+            kernel.sh_col.write(kernel.rows, 0)
+            eng.charge_flops(N * cost, useful_flops=credit / 2 * (n - j))
+            eng.charge_shared(N, writes=True)
+            eng.sync()
+
+        with eng.phase(f"panel{panel}:Hermitian Update"):
+            # A[j+1:, j+1:] -= l l^H, lower triangle only: each thread
+            # reads l once and does ~N^2/2 FMAs.
+            kernel.sh_col.read(kernel.rows)
+            eng.charge_shared(N)
+            eng.charge_flops(
+                N * N * cost / 2.0,
+                useful_flops=credit / 2 * (n - 1 - j) * (n - 1 - j),
+            )
+            eng.sync()
+    kernel.store()
+
+
 def per_block_cholesky(
     a: np.ndarray,
     device: DeviceSpec = QUADRO_6000,
@@ -56,76 +96,17 @@ def per_block_cholesky(
     """Factor an HPD batch: ``A = L L^H``, one problem per block.
 
     ``output`` holds L in the lower triangle (upper triangle zeroed);
-    ``extra`` flags problems that were not positive definite.
+    ``extra`` flags problems that were not positive definite (their
+    ``output`` is NaN).
     """
-    kernel = BlockKernel(
-        a,
-        device=device,
-        config=config,
-        fast_math=fast_math,
-        account_overhead=account_overhead,
-    )
-    if kernel.m != kernel.n:
+    a = as_problems(a)
+    _, m, n = a.shape
+    if m != n:
         raise ValueError("Cholesky expects square matrices")
-    eng = kernel.engine
-    mode = arithmetic_mode(fast_math)
-    n = kernel.n
-    cost = 2 if kernel.complex else 1
-    credit = 8.0 if kernel.complex else 2.0
-    not_spd = np.zeros(kernel.batch, dtype=bool)
-    real_dtype = np.zeros(1, dtype=kernel.dtype).real.dtype
-
-    for j in range(n):
-        panel = j // kernel.r
-        N = kernel.column_tile_rows(j)
-        with eng.phase(f"panel{panel}:Column Op"):
-            # Diagonal thread: pivot = A[j][j] (real for HPD), rsqrt,
-            # publish the inverse square root.
-            pivot = kernel.extract_column(j, j)[:, 0].real.astype(real_dtype)
-            bad = pivot <= 0
-            not_spd |= bad
-            safe = np.where(bad, np.ones_like(pivot), pivot)
-            root = mode.sqrt(safe)
-            inv_root = mode.divide(np.ones_like(root), root)
-            kernel.sh_scalar.write(0, inv_root.astype(kernel.dtype))
-            eng.charge_sqrt(1, useful_flops=0)
-            eng.charge_div(1, useful_flops=0)
-            eng.charge_shared(2)
-            eng.sync()
-
-            # Scale the column: L[j:, j] = A[j:, j] / sqrt(pivot), and
-            # publish it for the trailing update.
-            scale_rd = kernel.sh_scalar.read(0)
-            col = kernel.extract_column(j, j) * scale_rd[:, None]
-            kernel.deposit_column(j, j, col)
-            lfull = np.zeros((kernel.batch, kernel.m), dtype=kernel.dtype)
-            lfull[:, j:] = col
-            kernel.sh_col.write(np.arange(kernel.m), lfull)
-            eng.charge_flops(N * cost, useful_flops=credit / 2 * (n - j))
-            eng.charge_shared(N, writes=True)
-            eng.sync()
-
-        with eng.phase(f"panel{panel}:Hermitian Update"):
-            # A[j+1:, j+1:] -= l l^H, lower triangle only: each thread
-            # reads l once and does ~N^2/2 FMAs.
-            lread = kernel.sh_col.read(np.arange(kernel.m))
-            row_vec = np.zeros((kernel.batch, kernel.n), dtype=kernel.dtype)
-            row_vec[:, j + 1 :] = lread[:, j + 1 :].conj()
-            kernel.rank1_update(lread, row_vec, row_start=j + 1, col_start=j + 1)
-            eng.charge_shared(N)
-            eng.charge_flops(
-                N * N * cost / 2.0,
-                useful_flops=credit / 2 * (n - 1 - j) * (n - 1 - j),
-            )
-            eng.sync()
-
-    out = kernel.store()
-    out = np.tril(out)
-    if not_spd.any():
-        out = out.copy()
-        out[not_spd] = np.nan
-    return kernel.result(
-        out,
-        flops_per_problem=(4 if kernel.complex else 1) * cholesky_flops(n),
-        extra=not_spd,
+    result = cholesky_factor_flagged(a, fast_math=fast_math)
+    return launch(
+        _cholesky_costs, m, n, a.dtype, result.lower, result.not_hpd,
+        flops_per_problem=(4 if np.iscomplexobj(a) else 1) * cholesky_flops(n),
+        device=device, config=config, fast_math=fast_math,
+        account_overhead=account_overhead,
     )

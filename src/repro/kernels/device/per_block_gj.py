@@ -6,7 +6,8 @@ the reciprocal of the diagonal (Listing 5 verbatim -- including the
 ``notsolved`` flag) and applies an outer-product update to *every* other
 row.  Unlike LU, rows never drop out, so the per-thread tile height N
 stays at HREG for the whole sweep; that is why Gauss-Jordan performs
-``n^3`` FLOPs against LU's ``2/3 n^3``.
+``n^3`` FLOPs against LU's ``2/3 n^3``.  The solution comes from
+:func:`repro.kernels.batched.gauss_jordan.gauss_jordan_solve`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,52 @@ import numpy as np
 from ...gpu.device import QUADRO_6000, DeviceSpec
 from ...model.block_config import BlockConfig
 from ...model.flops import gauss_jordan_flops
-from ..batched._arith import arithmetic_mode
-from .base import BlockKernel, DeviceKernelResult
+from ..batched.gauss_jordan import gauss_jordan_solve
+from .base import BlockKernel, DeviceKernelResult, as_problems, as_rhs, launch
 
 __all__ = ["per_block_gauss_jordan"]
+
+
+def _gauss_jordan_costs(kernel: BlockKernel) -> None:
+    eng = kernel.engine
+    n, n_aug = kernel.m, kernel.n  # n + nrhs columns
+    cost, credit = kernel.cost, kernel.credit
+    N = kernel.hreg  # rows never drop out in Gauss-Jordan
+    for j in range(n):
+        panel = j // kernel.r
+        with eng.phase(f"panel{panel}:Column Op"):
+            # Listing 5: the diagonal thread publishes 1/A[j,j] (or flags
+            # the problem as unsolvable on a zero pivot).
+            kernel.sh_scalar.write(0, 0)
+            eng.charge_div(1, useful_flops=0)
+            eng.charge_shared(2)
+            eng.sync()
+
+            # Scale the pivot row (columns j..end, including the RHS) and
+            # publish it, together with the pivot column, to shared.
+            kernel.sh_scalar.read(0)
+            kernel.sh_row.write(kernel.cols, 0)
+            kernel.sh_col.write(kernel.rows, 0)
+            eng.charge_flops(N * cost, useful_flops=credit / 2 * (n_aug - j))
+            eng.charge_shared(2 * N, writes=True)
+            eng.sync()
+
+        with eng.phase(f"panel{panel}:Rank-1 Update"):
+            # Every row i != j: A[i, j:] -= A[i, j] * scaled_row[j:].
+            kernel.sh_col.read(kernel.rows)
+            kernel.sh_row.read(kernel.cols)
+            eng.charge_shared(2 * N)
+            eng.charge_flops(
+                N * N * cost, useful_flops=credit / 2 * (n - 1) * (n_aug - j)
+            )
+            eng.sync()
+
+    with eng.phase("gather-x"):
+        pass  # the owning threads read x out of their tiles: no charged event
+
+    # Only the solution vector returns to DRAM, not the reduced matrix.
+    with eng.phase("store"):
+        eng.charge_global(n * (8 if kernel.complex else 4), kind="copy")
 
 
 def per_block_gauss_jordan(
@@ -34,94 +77,20 @@ def per_block_gauss_jordan(
 ) -> DeviceKernelResult:
     """Solve square systems by Gauss-Jordan, one problem per block.
 
-    ``output`` is the solution batch ``(batch, n)``; ``extra`` the
-    per-problem ``not_solved`` flags (zero pivot encountered).
+    ``output`` is the solution batch ``(batch, n)`` for the first
+    right-hand side; ``extra`` the per-problem ``not_solved`` flags (zero
+    pivot encountered).
     """
-    a_arr = np.asarray(a)
-    if a_arr.ndim == 2:
-        a_arr = a_arr[None]
-    if a_arr.ndim != 3 or a_arr.shape[1] != a_arr.shape[2]:
+    a = as_problems(a)
+    if a.shape[1] != a.shape[2]:
         raise ValueError("Gauss-Jordan expects square systems")
-    b_arr = np.asarray(b, dtype=a_arr.dtype)
-    if b_arr.ndim == 1:
-        b_arr = b_arr[None]
-    if b_arr.ndim == 2:
-        b_arr = b_arr[..., None]
-    if b_arr.shape[:2] != a_arr.shape[:2]:
-        raise ValueError(
-            f"rhs shape {np.asarray(b).shape} does not match systems {a_arr.shape}"
-        )
-    n = a_arr.shape[2]
-    aug = np.concatenate([a_arr, b_arr], axis=2)
-
-    kernel = BlockKernel(
-        aug,
-        device=device,
-        config=config,
-        fast_math=fast_math,
-        account_overhead=account_overhead,
-    )
-    eng = kernel.engine
-    mode = arithmetic_mode(fast_math)
-    cost = 2 if kernel.complex else 1
-    credit = 8.0 if kernel.complex else 2.0
-    one = np.asarray(1.0, dtype=kernel.dtype)
-    not_solved = np.zeros(kernel.batch, dtype=bool)
-    n_aug = kernel.n  # n + nrhs
-    N = kernel.layout.hreg  # rows never drop out in Gauss-Jordan
-
-    for j in range(n):
-        panel = j // kernel.r
-        with eng.phase(f"panel{panel}:Column Op"):
-            # Listing 5: the diagonal thread publishes 1/A[j,j] (or flags
-            # the problem as unsolvable on a zero pivot).
-            pivot = kernel.extract_row(j, j)[:, 0].copy()
-            singular = pivot == 0
-            not_solved |= singular
-            scale = mode.divide(one, np.where(singular, one, pivot))
-            kernel.sh_scalar.write(0, scale)
-            eng.charge_div(1, useful_flops=0)
-            eng.charge_shared(2)
-            eng.sync()
-
-            # Scale the pivot row (columns j..end, including the RHS) and
-            # publish it, together with the pivot column, to shared.
-            scale_rd = kernel.sh_scalar.read(0)
-            row = kernel.extract_row(j, j) * scale_rd[:, None]
-            rowfull = np.zeros((kernel.batch, n_aug), dtype=kernel.dtype)
-            rowfull[:, j:] = row
-            kernel.sh_row.write(np.arange(n_aug), rowfull)
-            colfull = kernel.extract_column(j, 0).copy()
-            colfull[:, j] = 0  # the pivot row is replaced, not updated
-            kernel.sh_col.write(np.arange(kernel.m), colfull)
-            eng.charge_flops(N * cost, useful_flops=credit / 2 * (n_aug - j))
-            eng.charge_shared(2 * N, writes=True)
-            eng.sync()
-
-        with eng.phase(f"panel{panel}:Rank-1 Update"):
-            # Every row i != j: A[i, j:] -= A[i, j] * scaled_row[j:].
-            lread = kernel.sh_col.read(np.arange(kernel.m))
-            uread = kernel.sh_row.read(np.arange(n_aug))
-            kernel.rank1_update(lread, uread, row_start=0, col_start=j)
-            # Deposit the scaled pivot row (the rank-1 left it untouched
-            # because its shared-column entry was zeroed).
-            kernel.deposit_row(j, j, row)
-            eng.charge_shared(2 * N)
-            eng.charge_flops(
-                N * N * cost, useful_flops=credit / 2 * (n - 1) * (n_aug - j)
-            )
-            eng.sync()
-
-    with eng.phase("gather-x"):
-        x = kernel.extract_column(n, 0)[:, :n].copy()
-
-    # Only the solution vector returns to DRAM, not the reduced matrix.
-    with eng.phase("store"):
-        eng.charge_global(n * (8 if kernel.complex else 4), kind="copy")
-    factor = 4 if kernel.complex else 1
-    if not_solved.any():
-        x = x.copy()
-        x[not_solved] = np.nan
-    return kernel.result(
-        x, flops_per_problem=factor * gauss_jordan_flops(n), extra=not_solved
+    b_arr = as_rhs(b, a, "systems")
+    _, n, nrhs = b_arr.shape
+    result = gauss_jordan_solve(a, b_arr, fast_math=fast_math)
+    factor = 4 if np.iscomplexobj(a) else 1
+    return launch(
+        _gauss_jordan_costs, n, n + nrhs, a.dtype, result.x[..., 0],
+        result.not_solved,
+        flops_per_problem=factor * gauss_jordan_flops(n), device=device,
+        config=config, fast_math=fast_math, account_overhead=account_overhead,
     )

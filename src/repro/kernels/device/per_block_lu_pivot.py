@@ -20,10 +20,9 @@ slowly as the O(N^2) rank-1 update grows.  That factor is the concrete
 cost the paper's "we do not pivot" choice avoided -- and the quantitative
 justification for it.
 
-Numerics: data-dependent row swaps break the lockstep tile layout, so
-the factorization itself runs through the batched pivoted kernel on the
-gathered matrix (documented substitution: identical arithmetic, same
-results); the engine charges the distributed implementation's costs.
+Numerics: like every per-block kernel, the factors come from the
+batched routine (:func:`repro.kernels.batched.lu.lu_factor_pivot`); the
+cost program charges the distributed implementation's events.
 """
 
 from __future__ import annotations
@@ -39,7 +38,9 @@ from ..batched.lu import lu_factor_pivot
 from .base import (
     BlockKernel,
     DeviceKernelResult,
+    as_problems,
     breakdown_detector,
+    launch,
     nonfinite_breakdowns,
 )
 
@@ -61,33 +62,9 @@ def _lu_pivot_breakdowns(output: np.ndarray, extra) -> dict:
     return found
 
 
-def per_block_lu_pivot(
-    a: np.ndarray,
-    device: DeviceSpec = QUADRO_6000,
-    fast_math: bool = True,
-    account_overhead: bool = True,
-    config: Optional[BlockConfig] = None,
-) -> DeviceKernelResult:
-    """Partial-pivoting LU, one problem per block.
-
-    ``output`` is the packed pivoted LU; ``extra`` the permutation array
-    ``(batch, n)`` (row order, as in
-    :func:`repro.kernels.batched.lu.lu_factor_pivot`).
-    """
-    kernel = BlockKernel(
-        a,
-        device=device,
-        config=config,
-        fast_math=fast_math,
-        account_overhead=account_overhead,
-    )
-    if kernel.m != kernel.n:
-        raise ValueError("LU expects square matrices")
+def _lu_pivot_costs(kernel: BlockKernel) -> None:
     eng = kernel.engine
-    n = kernel.n
-    cost = 2 if kernel.complex else 1
-    credit = 8.0 if kernel.complex else 2.0
-
+    n, cost, credit = kernel.n, kernel.cost, kernel.credit
     for j in range(n - 1):
         panel = j // kernel.r
         N = kernel.column_tile_rows(j)
@@ -96,9 +73,7 @@ def per_block_lu_pivot(
             # then the serial cross-thread max reduction with its argmax
             # bookkeeping (one extra op per step), published + sync.
             eng.charge_flops(N * cost, useful_flops=0)
-            kernel.serial_reduction(
-                np.zeros((kernel.batch, kernel.r), dtype=np.float32)
-            )
+            kernel.serial_reduction()
             eng.charge_flops(kernel.r, useful_flops=0)  # argmax bookkeeping
             eng.charge_shared(2)
             eng.sync()
@@ -107,10 +82,9 @@ def per_block_lu_pivot(
             # Rows j and piv trade places through shared memory: each
             # owning thread writes its WREG elements of both rows and
             # reads the other's, with syncs separating the two halves.
-            wreg = kernel.layout.wreg
-            eng.charge_shared(2 * wreg, writes=True)
+            eng.charge_shared(2 * kernel.wreg, writes=True)
             eng.sync()
-            eng.charge_shared(2 * wreg)
+            eng.charge_shared(2 * kernel.wreg)
             eng.sync()
 
         with eng.phase(f"panel{panel}:Column Op"):
@@ -127,14 +101,30 @@ def per_block_lu_pivot(
                 N * N * cost, useful_flops=credit * (n - 1 - j) * (n - 1 - j)
             )
             eng.sync()
+    kernel.store()
 
-    # Numerics: the batched pivoted kernel on the gathered matrix (see
-    # module docstring for why the swaps are not done in tile space).
-    gathered = kernel.layout.gather(kernel.tiles)
-    result = lu_factor_pivot(gathered, fast_math=fast_math)
-    kernel.tiles = kernel.layout.scatter(result.lu)
-    out = kernel.store()
-    factor = 4 if kernel.complex else 1
-    return kernel.result(
-        out, flops_per_problem=factor * lu_flops(n), extra=result.perm
+
+def per_block_lu_pivot(
+    a: np.ndarray,
+    device: DeviceSpec = QUADRO_6000,
+    fast_math: bool = True,
+    account_overhead: bool = True,
+    config: Optional[BlockConfig] = None,
+) -> DeviceKernelResult:
+    """Partial-pivoting LU, one problem per block.
+
+    ``output`` is the packed pivoted LU; ``extra`` the permutation array
+    ``(batch, n)`` (row order, as in
+    :func:`repro.kernels.batched.lu.lu_factor_pivot`).
+    """
+    a = as_problems(a)
+    _, m, n = a.shape
+    if m != n:
+        raise ValueError("LU expects square matrices")
+    result = lu_factor_pivot(a, fast_math=fast_math)
+    return launch(
+        _lu_pivot_costs, m, n, a.dtype, result.lu, result.perm,
+        flops_per_problem=(4 if np.iscomplexobj(a) else 1) * lu_flops(n),
+        device=device, config=config, fast_math=fast_math,
+        account_overhead=account_overhead,
     )

@@ -29,7 +29,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, NamedTuple, Optional
 
 from .counters import CounterRegistry
 
@@ -79,12 +79,13 @@ class ClockOrigin:
         return self.perf - other.perf
 
 
-@dataclasses.dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One recorded trace event (Chrome ``trace_event`` phases).
 
     ``ph`` is ``"X"`` (complete: has a duration), ``"i"`` (instant), or
-    ``"C"`` (counter sample).
+    ``"C"`` (counter sample).  A named tuple rather than a frozen
+    dataclass: traced launches build thousands of these, and a frozen
+    dataclass costs several times as much to construct.
     """
 
     name: str

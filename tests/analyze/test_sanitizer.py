@@ -151,6 +151,36 @@ class TestToyHazards:
         )
 
 
+#: (syncs, functional accesses) of every per-block sweep case, keyed by
+#: (kernel, shape).  Charged traffic alone satisfies the wasted-sync
+#: audit, so a kernel that dropped its functional ``sh_*`` reads and
+#: writes would still sweep clean; pinning the access counts catches it.
+#: The pivoted LU models its row swaps as charged traffic only.
+SWEEP_PROTOCOL = {
+    ("per_block_lu", "4x4"): (9, 18),
+    ("per_block_lu_pivot", "4x4"): (18, 0),
+    ("per_block_qr", "8x4"): (16, 16),
+    ("per_block_qr_solve", "4x4"): (16, 12),
+    ("per_block_gauss_jordan", "4x4"): (12, 24),
+    ("per_block_cholesky", "4x4"): (12, 16),
+    ("per_block_least_squares", "8x4"): (20, 16),
+    ("per_block_lu", "8x8"): (21, 42),
+    ("per_block_lu_pivot", "8x8"): (42, 0),
+    ("per_block_qr", "12x8"): (32, 32),
+    ("per_block_qr_solve", "8x8"): (36, 28),
+    ("per_block_gauss_jordan", "8x8"): (24, 48),
+    ("per_block_cholesky", "8x8"): (24, 32),
+    ("per_block_least_squares", "12x8"): (40, 32),
+    ("per_block_lu", "13x13"): (36, 72),
+    ("per_block_lu_pivot", "13x13"): (72, 0),
+    ("per_block_qr", "17x13"): (52, 52),
+    ("per_block_qr_solve", "13x13"): (61, 48),
+    ("per_block_gauss_jordan", "13x13"): (39, 78),
+    ("per_block_cholesky", "13x13"): (39, 52),
+    ("per_block_least_squares", "17x13"): (65, 52),
+}
+
+
 class TestCleanKernels:
     def test_full_sweep_is_clean(self):
         results = run_sweep()
@@ -162,6 +192,21 @@ class TestCleanKernels:
         assert block and all(r["report"]["syncs"] > 0 for r in block)
         # ...and none of their barriers were wasted.
         assert all(r["report"]["redundant_syncs"] == 0 for r in block)
+
+    def test_sweep_pins_the_shared_memory_protocol(self):
+        protocol = {
+            (r["kernel"], r["shape"]): (
+                r["report"]["syncs"],
+                r["report"]["accesses"],
+                tuple(r["report"]["arrays"]),
+            )
+            for r in run_sweep()
+            if r["report"] is not None
+        }
+        arrays = ("sh_col", "sh_row", "sh_scalar")
+        assert protocol == {
+            case: counts + (arrays,) for case, counts in SWEEP_PROTOCOL.items()
+        }
 
     @settings(max_examples=10, deadline=None)
     @given(batch=st.integers(min_value=1, max_value=16))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import ShapeError, SingularMatrixError
 from repro.kernels.batched import (
     cholesky_factor,
+    cholesky_factor_flagged,
     cholesky_qr,
     givens_qr,
     gram_schmidt_qr,
@@ -59,6 +60,17 @@ class TestCholesky:
         a = -np.eye(4, dtype=np.float64)[None]
         with pytest.raises(SingularMatrixError):
             cholesky_factor(a)
+
+    def test_flagged_path_marks_only_the_indefinite_slot(self):
+        a = hermitian_batch(4, 5, dtype=np.float64, seed=8)
+        spd = a @ np.swapaxes(a, 1, 2) + 5 * np.eye(5)
+        mixed = spd.copy()
+        mixed[1] = -np.eye(5)
+        result = cholesky_factor_flagged(mixed)
+        assert result.not_hpd.tolist() == [False, True, False, False]
+        assert np.isnan(result.lower[1]).all()
+        keep = [0, 2, 3]
+        assert np.array_equal(result.lower[keep], cholesky_factor(spd)[keep])
 
     def test_matches_numpy(self):
         a = hermitian_batch(3, 6, dtype=np.float64, seed=3)

@@ -4,6 +4,7 @@ import json
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro.observe import log as obslog
@@ -182,3 +183,32 @@ class TestGating:
     def test_env_path_becomes_sink(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_LOG", str(tmp_path / "my.jsonl"))
         assert obslog._env_sink() == tmp_path / "my.jsonl"
+
+
+class TestLoggedLaunch:
+    def test_logged_launch_is_bitwise_identical(self, enabled, tmp_path):
+        from repro.kernels.batched import diagonally_dominant_batch
+        from repro.kernels.device import per_block_lu
+        from repro.model.flops import lu_flops
+        from repro.runtime import BatchRuntime, ProblemBatch
+
+        matrices = diagonally_dominant_batch(24, 6, seed=3)
+        batch = ProblemBatch.single("lu", matrices)
+
+        def run():
+            return BatchRuntime(
+                workers=2,
+                chunk_cost=lu_flops(6) * 8,
+                cache_directory=tmp_path / "cache",
+            ).run(batch)
+
+        logged = run()
+        previous = obslog.set_log_enabled(False)
+        try:
+            unlogged = run()
+        finally:
+            obslog.set_log_enabled(previous)
+        assert np.array_equal(logged.output, unlogged.output)
+        assert np.array_equal(logged.output, per_block_lu(matrices).output)
+        events = [r["event"] for r in read_log(enabled)]
+        assert events.count("runtime.launch") == 1

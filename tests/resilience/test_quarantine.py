@@ -79,6 +79,22 @@ class TestCholeskyQuarantine:
         assert np.isnan(report.output[6]).all()
         assert np.isfinite(report.output[5]).all()
 
+    def test_one_bad_slot_leaves_the_rest_bitwise(self, tmp_path):
+        from repro.runtime import run_batched
+
+        good = _spd_batch(9, 6, seed=4)
+        matrices = good.copy()
+        matrices[2] = -np.eye(6)
+        report = run_batched("cholesky", matrices, runtime=_runtime(tmp_path))
+        assert [(f.index, f.reason) for f in report.failures] == [
+            (2, "not-positive-definite")
+        ]
+        assert np.isnan(report.output[2]).all()
+        without = np.delete(good, 2, axis=0)
+        clean = run_batched("cholesky", without, runtime=_runtime(tmp_path))
+        assert clean.failures == []
+        assert np.array_equal(np.delete(report.output, 2, axis=0), clean.output)
+
 
 class TestScanOutput:
     def test_unknown_op_falls_back_to_nonfinite_scan(self):
