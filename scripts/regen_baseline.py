@@ -9,18 +9,21 @@ machine is valid everywhere.
 
 Usage::
 
-    python scripts/regen_baseline.py                 # both CI baselines
+    python scripts/regen_baseline.py                 # all default baselines
     python scripts/regen_baseline.py SPEC [--out P]  # one spec
 
 With no arguments it refreshes ``ci_baseline.json`` (from
-``benchmarks/specs/ci_regression.toml``) and ``ci_smoke.json`` (from
-``benchmarks/specs/ci_smoke.toml``).  See CONTRIBUTING.md for when a
+``benchmarks/specs/ci_regression.toml``), ``ci_smoke.json`` (from
+``benchmarks/specs/ci_smoke.toml``) and ``paper_artefacts.json`` (the
+``data`` payload of every paper artefact, as ``python -m repro export``
+writes it, keyed by experiment id).  See CONTRIBUTING.md for when a
 refresh is appropriate.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import shutil
 import sys
 import tempfile
@@ -30,6 +33,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments import load_spec, run_spec  # noqa: E402
+from repro.reporting import list_experiments, run_experiment  # noqa: E402
+from repro.reporting.export import _jsonable  # noqa: E402
 
 SPECS_DIR = REPO / "benchmarks" / "specs"
 BASELINES_DIR = REPO / "benchmarks" / "baselines"
@@ -39,6 +44,10 @@ DEFAULTS = {
     SPECS_DIR / "ci_regression.toml": BASELINES_DIR / "ci_baseline.json",
     SPECS_DIR / "ci_smoke.toml": BASELINES_DIR / "ci_smoke.json",
 }
+
+#: Golden ``data`` of all 16 paper artefacts (checked by
+#: ``tests/reporting/test_experiments.py``).
+ARTEFACTS = BASELINES_DIR / "paper_artefacts.json"
 
 
 def regen(spec_path: Path, out: Path, workers: int | None) -> None:
@@ -60,6 +69,12 @@ def regen(spec_path: Path, out: Path, workers: int | None) -> None:
     )
 
 
+def regen_artefacts() -> None:
+    data = {eid: _jsonable(run_experiment(eid).data) for eid in list_experiments()}
+    ARTEFACTS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"{ARTEFACTS.relative_to(REPO)}: {len(data)} artefacts")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -67,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         nargs="?",
         default=None,
-        help="spec to run (default: regenerate both CI baselines)",
+        help="spec to run (default: regenerate every default baseline)",
     )
     parser.add_argument(
         "--out",
@@ -83,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--out requires an explicit spec")
         for spec_path, out in DEFAULTS.items():
             regen(spec_path, out, args.workers)
+        regen_artefacts()
         return 0
 
     out = args.out

@@ -8,12 +8,14 @@ set-associative tag stores with true-LRU replacement.
 
 The simulators are deliberately storage-free: they track tags only,
 because the functional data path of the engine keeps real values in NumPy
-arrays and only needs the hit/miss verdicts for timing.
+arrays and only needs the hit/miss verdicts for timing.  Each touched set
+is an ordered dict of its resident lines, least recently used first, so
+a lookup costs one dict probe whatever the cache's geometry.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from collections import OrderedDict, defaultdict
 
 from .device import DeviceSpec
 
@@ -30,10 +32,8 @@ class TagCache:
         self.line_bytes = int(line_bytes)
         self.ways = int(ways)
         self.num_sets = max(1, self.size_bytes // (self.line_bytes * self.ways))
-        # tags[set, way] = line address (-1 = invalid); lru[set, way] = age
-        self._tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
-        self._lru = np.zeros((self.num_sets, self.ways), dtype=np.int64)
-        self._tick = 0
+        # set index -> {line address: None}, least recently used first
+        self._sets = defaultdict(OrderedDict)
         self.hits = 0
         self.misses = 0
 
@@ -43,9 +43,7 @@ class TagCache:
         return self.size_bytes > 0
 
     def reset(self) -> None:
-        self._tags.fill(-1)
-        self._lru.fill(0)
-        self._tick = 0
+        self._sets.clear()
         self.hits = 0
         self.misses = 0
 
@@ -54,21 +52,20 @@ class TagCache:
 
         A miss installs the line (allocate-on-miss, evicting the LRU way).
         """
+        if byte_address < 0:
+            raise ValueError("byte address must be non-negative")
         if not self.enabled:
             self.misses += 1
             return False
         line = byte_address // self.line_bytes
-        index = line % self.num_sets
-        self._tick += 1
-        row_tags = self._tags[index]
-        hit_ways = np.nonzero(row_tags == line)[0]
-        if hit_ways.size:
-            self._lru[index, hit_ways[0]] = self._tick
+        lines = self._sets[line % self.num_sets]
+        if line in lines:
+            lines.move_to_end(line)
             self.hits += 1
             return True
-        victim = int(np.argmin(self._lru[index]))
-        self._tags[index, victim] = line
-        self._lru[index, victim] = self._tick
+        if len(lines) >= self.ways:
+            lines.popitem(last=False)
+        lines[line] = None
         self.misses += 1
         return False
 

@@ -212,7 +212,9 @@ def span_context(
 # ----------------------------------------------------------------------
 # Process-wide gate + default sink (REPRO_LOG)
 # ----------------------------------------------------------------------
-_enabled: bool = _env_sink() is not None
+# Only the flag is read at import: the sink path resolves through
+# ``runtime.cache``, which imports this module, so it waits for a write.
+_enabled: bool = os.environ.get("REPRO_LOG", "").strip().lower() not in _FALSEY
 _default: Optional[StructuredLogger] = None
 
 

@@ -1,8 +1,35 @@
 """Tag-cache (L1/L2) and TLB state-machine behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu import G80, QUADRO_6000, L1Cache, L2Cache, TagCache, Tlb
+
+
+class ListLru:
+    """Brute-force reference: each set is a list of lines, LRU first."""
+
+    def __init__(self, size_bytes, line_bytes, ways):
+        self.enabled = size_bytes > 0
+        self.line_bytes, self.ways = line_bytes, ways
+        num_sets = max(1, size_bytes // (line_bytes * ways))
+        self.sets = [[] for _ in range(num_sets)]
+        self.hits = self.misses = 0
+
+    def access(self, byte_address):
+        line = byte_address // self.line_bytes
+        ways = self.sets[line % len(self.sets)]
+        hit = self.enabled and line in ways
+        if hit:
+            ways.remove(line)
+        elif self.enabled and len(ways) == self.ways:
+            ways.pop(0)
+        if self.enabled:
+            ways.append(line)
+        self.hits += hit
+        self.misses += not hit
+        return hit
 
 
 class TestTagCache:
@@ -62,6 +89,30 @@ class TestTagCache:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             TagCache(1024, 0, 2)
+
+    def test_negative_address_rejected(self):
+        c = TagCache(1024, 128, 2)
+        with pytest.raises(ValueError):
+            c.access(-128)
+        assert c.hits == c.misses == 0
+
+    @given(
+        size_lines=st.sampled_from([0, 1, 2, 3, 4, 8, 12, 64]),
+        line_bytes=st.sampled_from([1, 4, 128]),
+        ways=st.sampled_from([1, 2, 3, 4, 16]),
+        touches=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 127)), max_size=200
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_list_based_lru(self, size_lines, line_bytes, ways, touches):
+        # Zero size, one set (size_lines <= ways) and one way all occur.
+        geometry = (size_lines * line_bytes, line_bytes, ways)
+        cache, ref = TagCache(*geometry), ListLru(*geometry)
+        addresses = [line * line_bytes + off % line_bytes for line, off in touches]
+        verdicts = [cache.access(a) for a in addresses]
+        assert verdicts == [ref.access(a) for a in addresses]
+        assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
 
 
 class TestDeviceCaches:

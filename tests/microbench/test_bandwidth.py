@@ -40,6 +40,15 @@ class TestSharedBandwidth:
 
 
 class TestGlobalBandwidth:
+    @pytest.mark.parametrize(
+        "array_bytes", [16 * 1024 * 1024, 4 * 1003], ids=["default", "tail"]
+    )
+    def test_functional_copy_checks_out(self, array_bytes):
+        # 1003 words over 8 unroll blocks leaves a 3-word tail.
+        res = measure_global_bandwidth(QUADRO_6000, array_bytes=array_bytes)
+        assert res.checksum_ok is True
+        assert res.bytes_moved == 2 * array_bytes
+
     def test_copy_matches_paper_108(self):
         res = measure_global_bandwidth(QUADRO_6000)
         assert res.copy_bandwidth / 1e9 == pytest.approx(108, rel=0.05)

@@ -1,5 +1,7 @@
 """Latency microbenchmarks vs Table III, Figure 1, Figure 2."""
 
+import dataclasses
+
 import pytest
 
 from repro.gpu import G80, QUADRO_6000
@@ -40,7 +42,40 @@ class TestSharedLatency:
             measure_shared_latency(QUADRO_6000, words=1)
 
 
+#: Every ``ChaseResult`` field of the default Figure-1 sweep: (stride_words,
+#: hops, avg_latency_cycles, l1/l2/row/tlb hit rates).  The fig1 artefact
+#: keeps only the latencies, so this pins the hit rates behind them.
+FIG1_CHASES = (
+    (1, 512, 107.00390625, 0.96875, 0.0, 0.998046875, 1.0),
+    (2, 512, 118.0078125, 0.9375, 0.0, 0.99609375, 1.0),
+    (4, 512, 140.015625, 0.875, 0.0, 0.9921875, 1.0),
+    (8, 512, 184.03125, 0.75, 0.0, 0.984375, 1.0),
+    (16, 512, 272.0625, 0.5, 0.0, 0.96875, 1.0),
+    (32, 512, 448.2421875, 0.0, 0.0, 0.9375, 0.998046875),
+    (64, 512, 456.484375, 0.0, 0.0, 0.875, 0.99609375),
+    (128, 512, 472.96875, 0.0, 0.0, 0.75, 0.9921875),
+    (256, 512, 505.9375, 0.0, 0.0, 0.5, 0.984375),
+    (512, 512, 571.875, 0.0, 0.0, 0.0, 0.96875),
+    (1024, 512, 573.75, 0.0, 0.0, 0.0, 0.9375),
+    (2048, 512, 577.5, 0.0, 0.0, 0.0, 0.875),
+    (4096, 512, 585.0, 0.0, 0.0, 0.0, 0.75),
+    (8192, 512, 600.0, 0.0, 0.0, 0.0, 0.5),
+    (16384, 512, 630.0, 0.0, 0.0, 0.0, 0.0),
+    (32768, 512, 630.0, 0.0, 0.0, 0.0, 0.0),
+    (65536, 512, 630.0, 0.0, 0.0, 0.0, 0.0),
+    (131072, 512, 630.0, 0.0, 0.0, 0.0, 0.0),
+    (262144, 512, 630.0, 0.0, 0.0, 0.0, 0.0),
+    (524288, 512, 630.0, 0.0, 0.0, 0.0, 0.0),
+)
+
+
 class TestGlobalLatency:
+    def test_default_sweep_is_pinned(self):
+        sweep = sweep_global_latency(QUADRO_6000)
+        assert sweep.array_words == 64 * 1024 * 1024
+        got = tuple(dataclasses.astuple(r) for r in sweep.results)
+        assert got == FIG1_CHASES
+
     def test_plateau_near_570(self):
         assert plateau_latency(QUADRO_6000) == pytest.approx(570, rel=0.02)
 

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,28 @@ class TestGating:
     def test_env_path_becomes_sink(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_LOG", str(tmp_path / "my.jsonl"))
         assert obslog._env_sink() == tmp_path / "my.jsonl"
+
+    @pytest.mark.parametrize(
+        "statement",
+        ["import repro.runtime", "from repro.kernels.batched import run_batched"],
+    )
+    def test_env_on_first_import_is_not_circular(self, statement, tmp_path):
+        # The sink path resolves through runtime.cache, which imports this
+        # module: resolving it at import time broke these first imports.
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(
+            os.environ,
+            REPRO_LOG="1",
+            REPRO_CACHE_DIR=str(tmp_path),
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")])
+            ),
+        )
+        code = f"{statement}\nfrom repro.observe import log\nassert log.log_enabled()"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestLoggedLaunch:

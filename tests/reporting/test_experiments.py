@@ -1,11 +1,22 @@
 """Experiment registry: every artefact regenerates and hits its bands."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.reporting import list_experiments, run_experiment
 from repro.reporting.experiments import EXPERIMENTS
+from repro.reporting.export import _jsonable
+
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """Every artefact's data, written by ``scripts/regen_baseline.py``."""
+    return json.loads((BASELINES / "paper_artefacts.json").read_text())
 
 
 class TestRegistry:
@@ -22,11 +33,13 @@ class TestRegistry:
             run_experiment("fig99")
 
     @pytest.mark.parametrize("eid", sorted(EXPERIMENTS))
-    def test_every_experiment_runs_and_reports(self, eid):
+    def test_every_experiment_runs_and_reports(self, eid, golden):
         res = run_experiment(eid)
         assert res.experiment_id == eid
         assert len(res.report.splitlines()) >= 3
         assert res.data
+        # The simulated fixed point: the data is bitwise the golden's.
+        assert json.loads(json.dumps(_jsonable(res.data))) == golden[eid]
 
 
 class TestArtefactBands:

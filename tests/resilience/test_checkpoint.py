@@ -166,8 +166,11 @@ runtime.run(ProblemBatch.single("lu", matrices))
         env["PYTHONPATH"] = str(
             Path(__file__).resolve().parents[2] / "src"
         ) + os.pathsep + env.get("PYTHONPATH", "")
+        # Its own session, so the kill below takes the pool workers too.
         proc = subprocess.Popen(
-            [sys.executable, "-c", self.SCRIPT, str(ckpt)], env=env
+            [sys.executable, "-c", self.SCRIPT, str(ckpt)],
+            env=env,
+            start_new_session=True,
         )
         try:
             # Wait until some chunks are journaled, then kill mid-run.
@@ -181,7 +184,7 @@ runtime.run(ProblemBatch.single("lu", matrices))
             else:
                 pytest.fail("victim never journaled a chunk")
         finally:
-            proc.kill()
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
 
         journaled = len(list(ckpt.glob("chunk-*.ckpt")))
