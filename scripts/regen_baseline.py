@@ -14,10 +14,12 @@ Usage::
 
 With no arguments it refreshes ``ci_baseline.json`` (from
 ``benchmarks/specs/ci_regression.toml``), ``ci_smoke.json`` (from
-``benchmarks/specs/ci_smoke.toml``) and ``paper_artefacts.json`` (the
+``benchmarks/specs/ci_smoke.toml``), ``paper_artefacts.json`` (the
 ``data`` payload of every paper artefact, as ``python -m repro export``
-writes it, keyed by experiment id).  See CONTRIBUTING.md for when a
-refresh is appropriate.
+writes it, keyed by experiment id) and ``launch_results.json`` (the
+exact :class:`~repro.gpu.simt.LaunchResult` of every per-block sketch
+and device cost program in :func:`launch_results`).  See
+CONTRIBUTING.md for when a refresh is appropriate.
 """
 
 from __future__ import annotations
@@ -49,6 +51,19 @@ DEFAULTS = {
 #: ``tests/reporting/test_experiments.py``).
 ARTEFACTS = BASELINES_DIR / "paper_artefacts.json"
 
+#: Exact launch results of the SIMT engine (checked by
+#: ``tests/gpu/test_launch_golden.py``).
+LAUNCH_RESULTS = BASELINES_DIR / "launch_results.json"
+
+#: Square sketch sizes: n = 1 and both sides of the 64/256-thread switch
+#: at 80 columns and of each register-spill edge (real: from 57 and 113
+#: columns; complex: from 41 and 81).
+SKETCH_SIZES = (1, 8, 40, 41, 56, 57, 79, 80, 81, 112, 113, 200)
+#: Tall (m, n) sketch shapes, for QR and least squares.
+TALL_SHAPES = ((96, 32), (300, 90))
+#: Device cost-program sizes, n = 1 to 96 across the same edges.
+DEVICE_SIZES = (1, 2, 8, 9, 40, 41, 56, 57, 80, 96)
+
 
 def regen(spec_path: Path, out: Path, workers: int | None) -> None:
     spec = load_spec(spec_path)
@@ -75,6 +90,103 @@ def regen_artefacts() -> None:
     print(f"{ARTEFACTS.relative_to(REPO)}: {len(data)} artefacts")
 
 
+def _exact(value):
+    """``value`` as JSON that keeps every bit: floats as ``float.hex()``."""
+    return value.hex() if isinstance(value, float) else value
+
+
+def _pairs(mapping) -> list:
+    """``mapping``'s items, in order, with exact values."""
+    return [[key, _exact(value)] for key, value in mapping.items()]
+
+
+def launch_record(launch) -> dict:
+    """The exact, key-ordered JSON form of one ``LaunchResult``."""
+    occ = launch.occupancy
+    return {
+        "cycles": _exact(launch.cycles),
+        "breakdown": _pairs(launch.breakdown),
+        "phase_totals": _pairs(launch.phase_totals),
+        "flops_per_block": _exact(launch.flops_per_block),
+        "counters": [
+            [name, _exact(stat["total"]), stat["count"], _exact(stat["max"])]
+            for name, stat in launch.counters.snapshot().items()
+        ],
+        "occupancy": [
+            occ.threads_per_block,
+            occ.registers_per_thread,
+            occ.shared_bytes_per_block,
+            occ.blocks_per_sm,
+            occ.limiter,
+        ],
+        "threads": launch.threads,
+    }
+
+
+def _device_inputs(n: int, dtype):
+    """A well-conditioned Hermitian positive-definite ``(1, n, n)`` system
+    and its ``(1, n)`` right-hand side."""
+    import numpy as np
+
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    if np.dtype(dtype).kind == "c":
+        x = x + 1j * rng.standard_normal((n, n))
+    a = (x @ x.conj().T + n * np.eye(n)).astype(dtype)[None]
+    b = rng.standard_normal((1, n)).astype(dtype)
+    return a, b
+
+
+def launch_results() -> dict:
+    """Every golden launch: the ``PerBlockApproach`` sketches and the
+    device cost programs (run fresh, past the per-shape memo)."""
+    import numpy as np
+
+    from repro.approaches import PerBlockApproach, Workload
+    from repro.gpu.simt import BlockEngine
+    from repro.kernels import device
+    from repro.kernels.device.base import block_engine_factory
+
+    out = {}
+    for fast_math in (True, False):
+        approach = PerBlockApproach(fast_math=fast_math)
+        for kind in ("qr", "lu", "gauss_jordan", "least_squares"):
+            for complex_dtype in (False, True):
+                for m, n in [(n, n) for n in SKETCH_SIZES] + list(TALL_SHAPES):
+                    work = Workload(kind, m, n, 1, complex_dtype)
+                    if not approach.supports(work):
+                        continue
+                    key = (
+                        f"sketch/{kind}/{'complex' if complex_dtype else 'real'}/"
+                        f"{'fast' if fast_math else 'precise'}/{m}x{n}"
+                    )
+                    out[key] = launch_record(approach.launch(work))
+    programs = {
+        "cholesky": lambda a, b: device.per_block_cholesky(a),
+        "gauss_jordan": device.per_block_gauss_jordan,
+        "least_squares": device.per_block_least_squares,
+        "lu": lambda a, b: device.per_block_lu(a),
+        "lu_pivot": lambda a, b: device.per_block_lu_pivot(a),
+        "qr": lambda a, b: device.per_block_qr(a),
+        "qr_solve": device.per_block_qr_solve,
+    }
+    with block_engine_factory(BlockEngine):
+        for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+            for n in DEVICE_SIZES:
+                a, b = _device_inputs(n, dtype)
+                for name, run in programs.items():
+                    key = f"device/{name}/{np.dtype(dtype).name}/{n}x{n}"
+                    out[key] = launch_record(run(a, b).launch)
+    return out
+
+
+def regen_launch_results() -> None:
+    data = launch_results()
+    lines = (f" {json.dumps(k)}: {json.dumps(v)}" for k, v in data.items())
+    LAUNCH_RESULTS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"{LAUNCH_RESULTS.relative_to(REPO)}: {len(data)} launches")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -99,6 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         for spec_path, out in DEFAULTS.items():
             regen(spec_path, out, args.workers)
         regen_artefacts()
+        regen_launch_results()
         return 0
 
     out = args.out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import LaunchConfigurationError, SharedMemoryOverflowError
 from ..gpu.device import QUADRO_6000, DeviceSpec
 from ..gpu.simt import BlockEngine, LaunchResult
 from ..model.block_config import BlockConfig, block_config
@@ -20,9 +21,8 @@ from .base import Approach, Workload
 
 __all__ = ["PerBlockApproach"]
 
-
-def _column_tile_rows(cfg: BlockConfig, hreg: int, j: int) -> int:
-    return max(1, hreg - j // cfg.rdim)
+#: Kinds whose right-hand side rides along as one more matrix column.
+_RHS_COLUMN_KINDS = ("gauss_jordan", "least_squares")
 
 
 class PerBlockApproach(Approach):
@@ -38,15 +38,21 @@ class PerBlockApproach(Approach):
             return False
         if work.kind in ("lu", "gauss_jordan") and work.m != work.n:
             return False
-        # Shared memory must hold the column and row vectors.
-        word = 8 if work.complex_dtype else 4
-        return (work.m + work.n + 8) * word <= self.device.shared_mem_per_sm
+        # A block must fit on an SM with the shared vectors launch() allocates.
+        try:
+            self._engine(work)[0].occupancy
+        except (LaunchConfigurationError, SharedMemoryOverflowError):
+            return False
+        return True
 
     # ------------------------------------------------------------------
-    def _engine(self, work: Workload, extra_cols: int = 0) -> tuple:
-        cfg = block_config(
-            work.m, work.n + extra_cols, complex_dtype=work.complex_dtype
-        )
+    def _config(self, m: int, n: int, complex_dtype: bool) -> BlockConfig:
+        """The launch shape: the paper's thread-count rule."""
+        return block_config(m, n, complex_dtype=complex_dtype)
+
+    def _engine(self, work: Workload) -> tuple[BlockEngine, BlockConfig]:
+        extra_cols = 1 if work.kind in _RHS_COLUMN_KINDS else 0
+        cfg = self._config(work.m, work.n + extra_cols, work.complex_dtype)
         dtype = np.complex64 if work.complex_dtype else np.float32
         engine = BlockEngine(
             self.device,
@@ -55,112 +61,103 @@ class PerBlockApproach(Approach):
             dtype=dtype,
             fast_math=self.fast_math,
         )
-        hreg = -(-work.m // cfg.rdim)
-        wreg = -(-(work.n + extra_cols) // cfg.rdim)
-        engine.allocate_shared(hreg * cfg.rdim)
-        engine.allocate_shared(wreg * cfg.rdim)
+        engine.allocate_shared(cfg.hreg * cfg.rdim)
+        engine.allocate_shared(cfg.wreg * cfg.rdim)
         engine.allocate_shared(4)
-        return engine, cfg, hreg
+        return engine, cfg
 
-    def _charge_reduction(self, engine: BlockEngine, cfg: BlockConfig, cost: int):
-        engine.charge_shared(cfg.rdim + 1)
-        engine.charge_flops(cfg.rdim * cost, useful_flops=0)
-
+    # The column loops below bind the charge methods and the per-launch
+    # constants once: they run hundreds of thousands of times per figure.
     def _charge_qr(
-        self, engine: BlockEngine, cfg: BlockConfig, hreg: int, work: Workload,
-        ncols: int,
+        self, engine: BlockEngine, cfg: BlockConfig, work: Workload, ncols: int
     ) -> None:
-        m = work.m
+        hreg, rdim = cfg.hreg, cfg.rdim
         cost = 2 if work.complex_dtype else 1
-        steps = ncols if m > ncols else ncols - 1
+        # Serial cross-thread reduction: (1 + sqrt p) beta + sqrt p gamma.
+        reduce_words, reduce_ops = rdim + 1, rdim * cost
+        charge_flops, charge_shared = engine.charge_flops, engine.charge_shared
+        charge_div, charge_sqrt = engine.charge_div, engine.charge_sqrt
+        sync = engine.sync
+        steps = ncols if work.m > ncols else ncols - 1
         for j in range(steps):
-            N = _column_tile_rows(cfg, hreg, j)
-            engine.charge_flops(N * cost, useful_flops=0)
-            self._charge_reduction(engine, cfg, cost)
-            engine.charge_sqrt(1, useful_flops=0)
-            engine.charge_div(2, useful_flops=0)
-            engine.charge_flops(2 * cost, useful_flops=0)
-            engine.charge_shared(2)
-            engine.charge_flops(N * cost, useful_flops=0)
-            engine.charge_shared(N, writes=True)
-            engine.sync()
-            engine.charge_shared(N)
-            engine.charge_flops(N * N * cost, useful_flops=0)
-            engine.sync()
-            self._charge_reduction(engine, cfg, cost)
-            engine.sync()
-            engine.charge_shared(N)
-            engine.charge_flops(N * N * cost, useful_flops=0)
-            engine.sync()
+            N = max(1, hreg - j // rdim)
+            charge_flops(N * cost, useful_flops=0)
+            charge_shared(reduce_words)
+            charge_flops(reduce_ops, useful_flops=0)
+            charge_sqrt(1, useful_flops=0)
+            charge_div(2, useful_flops=0)
+            charge_flops(2 * cost, useful_flops=0)
+            charge_shared(2)
+            charge_flops(N * cost, useful_flops=0)
+            charge_shared(N, writes=True)
+            sync()
+            charge_shared(N)
+            charge_flops(N * N * cost, useful_flops=0)
+            sync()
+            charge_shared(reduce_words)
+            charge_flops(reduce_ops, useful_flops=0)
+            sync()
+            charge_shared(N)
+            charge_flops(N * N * cost, useful_flops=0)
+            sync()
 
-    def _charge_lu(
-        self, engine: BlockEngine, cfg: BlockConfig, hreg: int, work: Workload
+    def _charge_elimination(
+        self, engine: BlockEngine, cfg: BlockConfig, work: Workload
     ) -> None:
+        """LU's n - 1 shrinking column steps, or Gauss-Jordan's n full-height ones."""
+        gauss_jordan = work.kind == "gauss_jordan"
+        hreg, rdim = cfg.hreg, cfg.rdim
         cost = 2 if work.complex_dtype else 1
-        for j in range(work.n - 1):
-            N = _column_tile_rows(cfg, hreg, j)
-            engine.charge_div(1, useful_flops=0)
-            engine.charge_shared(2)
-            engine.sync()
-            engine.charge_flops(N * cost, useful_flops=0)
-            engine.charge_shared(2 * N, writes=True)
-            engine.sync()
-            engine.charge_shared(2 * N)
-            engine.charge_flops(N * N * cost, useful_flops=0)
-            engine.sync()
-
-    def _charge_gj(
-        self, engine: BlockEngine, cfg: BlockConfig, hreg: int, work: Workload
-    ) -> None:
-        cost = 2 if work.complex_dtype else 1
-        N = hreg
-        for _ in range(work.n):
-            engine.charge_div(1, useful_flops=0)
-            engine.charge_shared(2)
-            engine.sync()
-            engine.charge_flops(N * cost, useful_flops=0)
-            engine.charge_shared(2 * N, writes=True)
-            engine.sync()
-            engine.charge_shared(2 * N)
-            engine.charge_flops(N * N * cost, useful_flops=0)
-            engine.sync()
+        charge_flops, charge_shared = engine.charge_flops, engine.charge_shared
+        charge_div, sync = engine.charge_div, engine.sync
+        for j in range(work.n if gauss_jordan else work.n - 1):
+            N = hreg if gauss_jordan else max(1, hreg - j // rdim)
+            charge_div(1, useful_flops=0)
+            charge_shared(2)
+            sync()
+            charge_flops(N * cost, useful_flops=0)
+            charge_shared(2 * N, writes=True)
+            sync()
+            charge_shared(2 * N)
+            charge_flops(N * N * cost, useful_flops=0)
+            sync()
 
     def _charge_back_substitution(
-        self, engine: BlockEngine, cfg: BlockConfig, hreg: int, work: Workload
+        self, engine: BlockEngine, cfg: BlockConfig, work: Workload
     ) -> None:
+        hreg, rdim = cfg.hreg, cfg.rdim
         cost = 2 if work.complex_dtype else 1
+        charge_flops, charge_shared = engine.charge_flops, engine.charge_shared
+        charge_div, sync = engine.charge_div, engine.sync
         for i in range(work.n):
-            N = _column_tile_rows(cfg, hreg, i)
-            engine.charge_div(1, useful_flops=0)
-            engine.charge_shared(2)
-            engine.charge_flops(N * cost, useful_flops=0)
-            engine.sync()
+            N = max(1, hreg - i // rdim)
+            charge_div(1, useful_flops=0)
+            charge_shared(2)
+            charge_flops(N * cost, useful_flops=0)
+            sync()
 
     # ------------------------------------------------------------------
     def launch(self, work: Workload) -> LaunchResult:
         """Charge-replay the workload; return the per-block timing."""
         word = 8 if work.complex_dtype else 4
         in_bytes = matrix_bytes(work.m, work.n, work.complex_dtype)
+        engine, cfg = self._engine(work)
         if work.kind == "qr":
-            engine, cfg, hreg = self._engine(work)
             engine.charge_global(in_bytes, kind="copy")
-            self._charge_qr(engine, cfg, hreg, work, work.n)
+            self._charge_qr(engine, cfg, work, work.n)
             engine.charge_global(in_bytes, kind="copy")
         elif work.kind == "lu":
-            engine, cfg, hreg = self._engine(work)
             engine.charge_global(in_bytes, kind="copy")
-            self._charge_lu(engine, cfg, hreg, work)
+            self._charge_elimination(engine, cfg, work)
             engine.charge_global(in_bytes, kind="copy")
         elif work.kind == "gauss_jordan":
-            engine, cfg, hreg = self._engine(work, extra_cols=1)
             engine.charge_global(in_bytes + work.n * word, kind="copy")
-            self._charge_gj(engine, cfg, hreg, work)
+            self._charge_elimination(engine, cfg, work)
             engine.charge_global(work.n * word, kind="copy")
         elif work.kind == "least_squares":
-            engine, cfg, hreg = self._engine(work, extra_cols=1)
             engine.charge_global(in_bytes + work.m * word, kind="copy")
-            self._charge_qr(engine, cfg, hreg, work, work.n)
-            self._charge_back_substitution(engine, cfg, hreg, work)
+            self._charge_qr(engine, cfg, work, work.n)
+            self._charge_back_substitution(engine, cfg, work)
             engine.charge_global(work.n * word, kind="copy")
         else:  # pragma: no cover - Workload validates kinds
             raise ValueError(f"unknown factorization kind: {work.kind!r}")

@@ -72,31 +72,8 @@ class _FixedConfigPerBlock(PerBlockApproach):
         super().__init__(device=device, fast_math=fast_math)
         self._threads = threads
 
-    def _engine(self, work: Workload, extra_cols: int = 0):
-        import numpy as np
-
-        from ..gpu.simt import BlockEngine
-
-        cfg = BlockConfig(
-            m=work.m,
-            n=work.n + extra_cols,
-            threads=self._threads,
-            complex_dtype=work.complex_dtype,
-        )
-        dtype = np.complex64 if work.complex_dtype else np.float32
-        engine = BlockEngine(
-            self.device,
-            threads_per_block=cfg.threads,
-            registers_per_thread=cfg.registers_per_thread,
-            dtype=dtype,
-            fast_math=self.fast_math,
-        )
-        hreg = -(-work.m // cfg.rdim)
-        wreg = -(-(work.n + extra_cols) // cfg.rdim)
-        engine.allocate_shared(hreg * cfg.rdim)  # noqa: RPR004 -- occupancy probe; no kernel body runs, nothing to charge
-        engine.allocate_shared(wreg * cfg.rdim)  # noqa: RPR004 -- occupancy probe; no kernel body runs, nothing to charge
-        engine.allocate_shared(4)  # noqa: RPR004 -- occupancy probe; no kernel body runs, nothing to charge
-        return engine, cfg, hreg
+    def _config(self, m: int, n: int, complex_dtype: bool) -> BlockConfig:
+        return BlockConfig(m=m, n=n, threads=self._threads, complex_dtype=complex_dtype)
 
 
 def tune_block_threads(

@@ -7,7 +7,7 @@ row-buffered DRAM, and an occupancy calculator.  Numerics run for real in
 NumPy; the simulator supplies the cycle costs.
 """
 
-from .clock import CycleBreakdown, CycleClock, TraceEvent
+from .clock import CycleBreakdown, CycleClock
 from .device import G80, GTX480, QUADRO_6000, DeviceSpec
 from .dram import DramModel, DramTimings
 from .fastmath import (
@@ -31,7 +31,6 @@ from .warp import exposed_latency, issue_cycles, warps_in_block
 __all__ = [
     "CycleBreakdown",
     "CycleClock",
-    "TraceEvent",
     "DeviceSpec",
     "QUADRO_6000",
     "G80",

@@ -6,19 +6,27 @@ cycles under a *category* (``"compute"``, ``"shared"``, ``"sync"``,
 operation labels used to regenerate Figure 8's breakdown).  It performs no
 scheduling itself -- the SIMT engine decides how many cycles an event
 costs; the clock just remembers where they went.
+
+Every total is a left fold in charge order (:func:`fold`), never the
+builtin ``sum()``: Python 3.12 made float ``sum()`` compensated, which
+would move cycle counts by an ulp between interpreter versions.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
-__all__ = ["CycleClock", "CycleBreakdown", "TraceEvent"]
+__all__ = ["CycleClock", "CycleBreakdown", "fold"]
 
-#: Categories every consumer can rely on being present in a breakdown.
-CATEGORIES = ("compute", "shared", "sync", "global", "overhead")
+
+def fold(values: Iterable[float]) -> float:
+    """``values`` added left to right: the same bits on every Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class CycleBreakdown(dict):
@@ -26,7 +34,7 @@ class CycleBreakdown(dict):
 
     @property
     def total(self) -> float:
-        return float(sum(self.values()))
+        return fold(self.values())
 
     def __add__(self, other: "CycleBreakdown") -> "CycleBreakdown":
         out = CycleBreakdown(self)
@@ -38,88 +46,68 @@ class CycleBreakdown(dict):
         return CycleBreakdown({k: v * factor for k, v in self.items()})
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceEvent:
-    """One recorded cost event (tracing mode only)."""
-
-    start: float
-    cycles: float
-    category: str
-    phase: Optional[str]
-
-
 class CycleClock:
     """Tagged cycle accumulator with nested phase labels.
 
-    With ``trace=True`` every charge is also recorded as a
-    :class:`TraceEvent` -- a per-event timeline for debugging kernels or
-    feeding external visualization.  Tracing is off by default because a
-    56x56 QR generates hundreds of events per block.
+    ``totals`` holds the cycles per category in first-charge order;
+    ``phases`` the same per phase label, each created by its phase's
+    first charge; ``phase_name`` is the innermost active phase (``None``
+    outside any).  Hot callers -- the SIMT engine's charge methods -- add
+    straight into ``totals`` and ``phases[phase_name]``; :meth:`charge` is
+    the same two additions behind a negative-charge check.
     """
 
-    def __init__(self, trace: bool = False) -> None:
-        self._by_category: Dict[str, float] = defaultdict(float)
-        self._by_phase: Dict[str, Dict[str, float]] = defaultdict(
+    def __init__(self) -> None:
+        self.totals: Dict[str, float] = defaultdict(float)
+        self.phases: Dict[str, Dict[str, float]] = defaultdict(
             lambda: defaultdict(float)
         )
-        self._phase_stack: list[str] = []
-        self.trace = trace
-        self.events: List[TraceEvent] = []
+        self.phase_name: Optional[str] = None
 
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         """Total cycles accumulated so far."""
-        return float(sum(self._by_category.values()))
+        return fold(self.totals.values())
 
     def charge(self, cycles: float, category: str) -> None:
         """Add ``cycles`` under ``category`` (and the current phase)."""
         if cycles < 0:
             raise ValueError(f"negative cycle charge: {cycles}")
-        if self.trace:
-            self.events.append(
-                TraceEvent(
-                    start=self.now,
-                    cycles=cycles,
-                    category=category,
-                    phase=self._phase_stack[-1] if self._phase_stack else None,
-                )
-            )
-        self._by_category[category] += cycles
-        if self._phase_stack:
-            self._by_phase[self._phase_stack[-1]][category] += cycles
+        self.totals[category] += cycles
+        if self.phase_name is not None:
+            self.phases[self.phase_name][category] += cycles
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Tag all charges inside the ``with`` body with phase ``name``."""
-        self._phase_stack.append(name)
+        outer, self.phase_name = self.phase_name, name
         try:
             yield
         finally:
-            self._phase_stack.pop()
+            self.phase_name = outer
 
     # ------------------------------------------------------------------
     def breakdown(self) -> CycleBreakdown:
         """Cycles per category (categories never charged are omitted)."""
-        return CycleBreakdown(self._by_category)
+        return CycleBreakdown(self.totals)
 
     def phase_breakdown(self, name: str) -> CycleBreakdown:
         """Cycles per category charged while phase ``name`` was active."""
-        return CycleBreakdown(self._by_phase.get(name, {}))
+        return CycleBreakdown(self.phases.get(name, {}))
 
     def phase_totals(self) -> Dict[str, float]:
-        """Total cycles per phase label, in insertion order."""
-        return {name: sum(cats.values()) for name, cats in self._by_phase.items()}
+        """Total cycles per phase label, in first-charge order."""
+        return {name: fold(cats.values()) for name, cats in self.phases.items()}
 
     def category(self, name: str) -> float:
-        return float(self._by_category.get(name, 0.0))
+        return float(self.totals.get(name, 0.0))
 
     def reset(self) -> None:
-        self._by_category.clear()
-        self._by_phase.clear()
-        self._phase_stack.clear()
-        self.events.clear()
+        self.totals.clear()
+        self.phases.clear()
+        self.phase_name = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{k}={v:.0f}" for k, v in self._by_category.items())
+        parts = ", ".join(f"{k}={v:.0f}" for k, v in self.totals.items())
         return f"CycleClock({parts}; total={self.now:.0f})"

@@ -30,6 +30,16 @@ Cost model (this repo's "measured"):
   arithmetic, loop remnants) -- the "measured overhead" wedge of
   Figure 8.  The analytic model of :mod:`repro.model` omits it; the gap
   between the two is part of the reproduction.
+
+Host cost: the per-block sketches (:mod:`repro.approaches.per_block`)
+make hundreds of thousands of charges per figure, so a charge is a few
+scalar operations.  The engine resolves its launch constants once at
+construction -- FMA, divide and square-root cycles at its precision,
+shared latency, the sync cost at its thread count, the spill fraction
+-- and each charge adds its cycles straight into the clock's category
+totals and the innermost phase's totals, with the same operands and in
+the same order as one :meth:`CycleClock.charge` per category.  A tracer
+only adds its counters and events to that one body.
 """
 
 from __future__ import annotations
@@ -122,7 +132,6 @@ class BlockEngine:
         fast_math: bool = True,
         account_overhead: bool = True,
         allow_spill: bool = True,
-        trace: bool = False,
         sanitize: Optional[bool] = None,
     ) -> None:
         self.device = device
@@ -138,11 +147,23 @@ class BlockEngine:
         double = self.dtype in (np.dtype(np.float64), np.dtype(np.complex128))
         self.precision_factor = 2 if double else 1
         self.memory = MemorySystem(device)
-        self.clock = CycleClock(trace=trace)
+        self.clock = CycleClock()
         self.registers = RegisterAllocation(device, registers_per_thread)
         if not allow_spill:
             self.registers.require_resident()
         self.warps = warps_in_block(device, self.threads)
+        # Launch constants, resolved once so a charge is a few scalar
+        # operations.  Folding the precision factor (1 or 2, a power of
+        # two) into a cost leaves every product's bits unchanged.
+        fast = self.fast_math and self.precision_factor == 1
+        self._op_cycles = self.precision_factor * self.costs.fma
+        self._div_cost = self.costs.div(fast) * self.precision_factor
+        self._sqrt_cost = self.costs.sqrt(fast) * self.precision_factor
+        self._shared_latency = device.shared_latency
+        self._sync_cycles = device.sync_latency(self.threads)
+        self._spill_fraction = (
+            self.registers.spill_fraction if self.registers.spills else 0.0
+        )
         # Opt-in shared-memory race sanitizer (repro.analyze): the
         # default consults REPRO_SANITIZE / the sanitizing() override at
         # construction time, so the hot path stays a None check.
@@ -153,7 +174,6 @@ class BlockEngine:
             if sanitize
             else None
         )
-        self._phase_stack: list[str] = []
         self._shared_words = 0
         self._shared_arrays: list[SharedMemory] = []
         self._useful_flops = 0.0
@@ -220,13 +240,14 @@ class BlockEngine:
     # ------------------------------------------------------------------
     # Cost charges
     #
-    # Every charge method accumulates its hardware-event counts as plain
-    # scalar `+=` on the engine (the always-on path) and only touches the
-    # tracer -- mirroring counts into its stage-scoped registry and
-    # emitting a timeline event -- when one is active on this thread.
-    # The un-traced hot path must stay within noise of the pre-
-    # instrumentation engine, so no registry, no dict, no extra property
-    # reads here.
+    # Every charge method adds its cycles straight into the clock's
+    # category totals and, inside a phase, the phase's totals -- in the
+    # order, and with the operands, of one `CycleClock.charge` per
+    # category -- and counts its hardware events as plain scalar `+=` on
+    # the engine.  Only when a tracer is active does it also mirror the
+    # counts into the tracer's stage-scoped registry and emit a timeline
+    # event.  No registry, no extra call, no property read on the
+    # untraced path.
     # ------------------------------------------------------------------
     def charge_flops(
         self,
@@ -243,84 +264,86 @@ class BlockEngine:
         """
         if ops_per_thread < 0:
             raise ValueError("negative op count")
-        tracer = self._tracer
-        start = self.clock.now if tracer is not None else 0.0
-        issue_ops = ops_per_thread * self.precision_factor
-        self.clock.charge(issue_ops * self.costs.fma, "compute")
+        tracer, clock = self._tracer, self.clock
+        start = clock.now if tracer is not None else 0.0
+        totals, phase = clock.totals, clock.phase_name
+        phase = clock.phases[phase] if phase is not None else None
+        cycles = ops_per_thread * self._op_cycles
+        totals["compute"] += cycles
+        if phase is not None:
+            phase["compute"] += cycles
         self._n_flop_groups += 1
         self._flop_thread_ops += ops_per_thread
         spill_accesses = 0.0
-        if count_spill and self.registers.spills:
-            spill_accesses = 2.0 * ops_per_thread * self.registers.spill_fraction
-            self.clock.charge(spill_accesses * SPILL_ACCESS_CYCLES, "overhead")
+        if count_spill and self._spill_fraction:
+            spill_accesses = 2.0 * ops_per_thread * self._spill_fraction
+            cycles = spill_accesses * SPILL_ACCESS_CYCLES
+            totals["overhead"] += cycles
+            if phase is not None:
+                phase["overhead"] += cycles
             self._spill_accesses += spill_accesses
-        useful = (
-            useful_flops if useful_flops is not None else ops_per_thread * self.threads
-        )
+        useful = ops_per_thread * self.threads if useful_flops is None else useful_flops
         self._useful_flops += useful
         if self.account_overhead:
-            self.clock.charge(OVERHEAD_PER_EVENT, "overhead")
+            totals["overhead"] += OVERHEAD_PER_EVENT
+            if phase is not None:
+                phase["overhead"] += OVERHEAD_PER_EVENT
             self._overhead_events += 1
         if tracer is not None:
             c = tracer.counters
             c.add("flops.groups", 1)
             c.add("flops.per_thread_ops", ops_per_thread)
-            c.add("flops.issue_ops", issue_ops)
+            c.add("flops.issue_ops", ops_per_thread * self.precision_factor)
             c.add("flops.useful", useful)
             if spill_accesses:
                 c.add("spill.accesses", spill_accesses)
             if self.account_overhead:
                 c.add("overhead.events", 1)
             tracer.complete(
-                "charge_flops", "engine", ts=start, dur=self.clock.now - start,
+                "charge_flops", "engine", ts=start, dur=clock.now - start,
                 ops_per_thread=ops_per_thread,
             )
 
     def charge_div(self, count: int = 1, useful_flops: Optional[float] = None) -> None:
-        fast = self.fast_math and self.precision_factor == 1
-        tracer = self._tracer
-        start = self.clock.now if tracer is not None else 0.0
-        cycles = count * self.costs.div(fast) * self.precision_factor
-        self.clock.charge(cycles, "compute")
+        cycles = self._charge_sfu("div", count, self._div_cost, useful_flops)
         self._div_count += count
         self._div_cycles += cycles
-        self._useful_flops += useful_flops if useful_flops is not None else count
-        if self.account_overhead:
-            self.clock.charge(OVERHEAD_PER_EVENT, "overhead")
-            self._overhead_events += 1
-        if tracer is not None:
-            c = tracer.counters
-            c.add("div.count", count)
-            c.add("div.cycles", cycles)
-            if self.account_overhead:
-                c.add("overhead.events", 1)
-            tracer.complete(
-                "charge_div", "engine", ts=start, dur=self.clock.now - start,
-                count=count,
-            )
 
     def charge_sqrt(self, count: int = 1, useful_flops: Optional[float] = None) -> None:
-        fast = self.fast_math and self.precision_factor == 1
-        tracer = self._tracer
-        start = self.clock.now if tracer is not None else 0.0
-        cycles = count * self.costs.sqrt(fast) * self.precision_factor
-        self.clock.charge(cycles, "compute")
+        cycles = self._charge_sfu("sqrt", count, self._sqrt_cost, useful_flops)
         self._sqrt_count += count
         self._sqrt_cycles += cycles
+
+    def _charge_sfu(
+        self, op: str, count: int, cost: int, useful_flops: Optional[float]
+    ) -> float:
+        """Charge ``count`` SFU ops of ``cost`` cycles; return their cycles."""
+        cycles = count * cost
+        if cycles < 0:
+            raise ValueError(f"negative {op} count: {count}")
+        tracer, clock = self._tracer, self.clock
+        start = clock.now if tracer is not None else 0.0
+        totals, phase = clock.totals, clock.phase_name
+        phase = clock.phases[phase] if phase is not None else None
+        totals["compute"] += cycles
+        if phase is not None:
+            phase["compute"] += cycles
         self._useful_flops += useful_flops if useful_flops is not None else count
         if self.account_overhead:
-            self.clock.charge(OVERHEAD_PER_EVENT, "overhead")
+            totals["overhead"] += OVERHEAD_PER_EVENT
+            if phase is not None:
+                phase["overhead"] += OVERHEAD_PER_EVENT
             self._overhead_events += 1
         if tracer is not None:
             c = tracer.counters
-            c.add("sqrt.count", count)
-            c.add("sqrt.cycles", cycles)
+            c.add(f"{op}.count", count)
+            c.add(f"{op}.cycles", cycles)
             if self.account_overhead:
                 c.add("overhead.events", 1)
             tracer.complete(
-                "charge_sqrt", "engine", ts=start, dur=self.clock.now - start,
-                count=count,
+                f"charge_{op}", "engine", ts=start, dur=clock.now - start, count=count
             )
+        return cycles
 
     def charge_shared(
         self, words_per_thread: float, degree: int = 1, writes: bool = False
@@ -328,12 +351,18 @@ class BlockEngine:
         """Charge ``words_per_thread`` dependent shared accesses."""
         if words_per_thread < 0:
             raise ValueError("negative word count")
+        cycles = words_per_thread * (self._shared_latency + (degree - 1))
+        if cycles < 0:
+            raise ValueError(f"bank-conflict degree {degree} gives negative cycles")
         if self.sanitizer is not None:
             self.sanitizer.note_traffic()
-        tracer = self._tracer
-        start = self.clock.now if tracer is not None else 0.0
-        per_access = self.device.shared_latency + (degree - 1)
-        self.clock.charge(words_per_thread * per_access, "shared")
+        tracer, clock = self._tracer, self.clock
+        start = clock.now if tracer is not None else 0.0
+        totals, phase = clock.totals, clock.phase_name
+        phase = clock.phases[phase] if phase is not None else None
+        totals["shared"] += cycles
+        if phase is not None:
+            phase["shared"] += cycles
         self._n_shared_groups += 1
         self._shared_transactions += words_per_thread
         if degree > 1:
@@ -341,7 +370,9 @@ class BlockEngine:
         if writes:
             self._shared_writes += words_per_thread
         if self.account_overhead:
-            self.clock.charge(OVERHEAD_PER_EVENT, "overhead")
+            totals["overhead"] += OVERHEAD_PER_EVENT
+            if phase is not None:
+                phase["overhead"] += OVERHEAD_PER_EVENT
             self._overhead_events += 1
         if tracer is not None:
             c = tracer.counters
@@ -353,7 +384,7 @@ class BlockEngine:
             if self.account_overhead:
                 c.add("overhead.events", 1)
             tracer.complete(
-                "charge_shared", "engine", ts=start, dur=self.clock.now - start,
+                "charge_shared", "engine", ts=start, dur=clock.now - start,
                 words=words_per_thread, degree=degree,
             )
 
@@ -367,14 +398,16 @@ class BlockEngine:
         """
         if self.sanitizer is not None:
             self.sanitizer.on_sync()
-        tracer = self._tracer
-        start = self.clock.now if tracer is not None else 0.0
-        self.clock.charge(self.device.sync_latency(self.threads), "sync")
+        tracer, clock = self._tracer, self.clock
+        start = clock.now if tracer is not None else 0.0
+        clock.totals["sync"] += self._sync_cycles
+        if clock.phase_name is not None:
+            clock.phases[clock.phase_name]["sync"] += self._sync_cycles
         self._n_sync += 1
         if tracer is not None:
             tracer.counters.add("sync.count", 1)
             tracer.complete(
-                "sync", "engine", ts=start, dur=self.clock.now - start,
+                "sync", "engine", ts=start, dur=clock.now - start,
                 threads=self.threads,
             )
 
@@ -383,7 +416,11 @@ class BlockEngine:
         bytes_per_block: float,
         kind: Literal["read", "copy", "memcpy"] = "copy",
     ) -> None:
-        """Charge a DRAM transfer, contended by all resident blocks."""
+        """Charge a DRAM transfer, contended by all resident blocks.
+
+        A kernel loads and stores once, so this charge is rare enough to
+        take the clock's checked :meth:`CycleClock.charge`.
+        """
         tracer = self._tracer
         start = self.clock.now if tracer is not None else 0.0
         resident = self.occupancy.blocks_per_chip
@@ -412,7 +449,7 @@ class BlockEngine:
     @property
     def current_phase(self) -> str:
         """Innermost active :meth:`phase` label ("" outside any phase)."""
-        return self._phase_stack[-1] if self._phase_stack else ""
+        return self.clock.phase_name or ""
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -423,21 +460,16 @@ class BlockEngine:
         along with the per-phase cycle totals.  The label is also what
         the shared-memory sanitizer stamps on hazards detected inside.
         """
-        tracer = self._tracer
-        start = self.clock.now
-        self._phase_stack.append(name)
-        try:
+        tracer, clock = self._tracer, self.clock
+        start = clock.now if tracer is not None else 0.0
+        with clock.phase(name):
             if tracer is None:
-                with self.clock.phase(name):
-                    yield
-                return
-            with self.clock.phase(name), tracer.counters.stage(name):
                 yield
-        finally:
-            self._phase_stack.pop()
-        tracer.complete(
-            f"phase:{name}", "phase", ts=start, dur=self.clock.now - start
-        )
+            else:
+                with tracer.counters.stage(name):
+                    yield
+        if tracer is not None:
+            tracer.complete(f"phase:{name}", "phase", ts=start, dur=clock.now - start)
 
     # ------------------------------------------------------------------
     # Results

@@ -14,6 +14,7 @@ from repro.approaches import (
     default_approaches,
     rank_approaches,
 )
+from repro.errors import LaunchConfigurationError
 
 
 class TestWorkload:
@@ -41,6 +42,29 @@ class TestSupports:
         pb = PerBlockApproach()
         assert pb.supports(Workload("qr", 240, 66, 128, complex_dtype=True))
         assert not pb.supports(Workload("lu", 16, 8, 100))
+
+    @pytest.mark.parametrize("complex_dtype", [False, True])
+    @pytest.mark.parametrize("kind", ["qr", "lu", "gauss_jordan", "least_squares"])
+    def test_per_block_edge_is_where_launch_fails(self, kind, complex_dtype):
+        """supports() admits exactly the sizes launch() can run."""
+        pb = PerBlockApproach()
+
+        def work(n):
+            return Workload.square(kind, n, 1, complex_dtype=complex_dtype)
+
+        lo, hi = 1, 8192  # supported, unsupported
+        assert pb.supports(work(lo)) and not pb.supports(work(hi))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if pb.supports(work(mid)) else (lo, mid)
+        assert pb.launch(work(lo)).cycles > 0
+        with pytest.raises(LaunchConfigurationError):
+            pb.launch(work(hi))
+
+    def test_rank_skips_per_block_past_its_shared_memory(self):
+        ranked = rank_approaches(Workload.square("qr", 6130, 1))
+        assert ranked
+        assert "per-block" not in [r.name for r in ranked]
 
     def test_hybrid_is_real_only(self):
         hy = HybridBlockedApproach()

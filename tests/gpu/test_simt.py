@@ -130,6 +130,29 @@ class TestOverheadAccounting:
         assert eng.clock.category("overhead") > 0
 
 
+class TestRejections:
+    """Charges that would subtract cycles raise before touching the clock."""
+
+    @pytest.mark.parametrize(
+        "charge",
+        [
+            lambda eng: eng.charge_div(-1),
+            lambda eng: eng.charge_sqrt(-2),
+            lambda eng: eng.charge_global(-4.0),
+            lambda eng: eng.charge_shared(3, degree=-40),
+        ],
+        ids=["div", "sqrt", "global", "shared-degree"],
+    )
+    @pytest.mark.parametrize("overhead", [False, True])
+    def test_negative_charge_rejected(self, charge, overhead):
+        eng = make_engine(account_overhead=overhead)
+        with eng.phase("p"):
+            with pytest.raises(ValueError):
+                charge(eng)
+        assert eng.clock.now == 0.0
+        assert eng.result().phase_totals == {}
+
+
 class TestLaunchResult:
     def test_phase_totals_recorded(self):
         eng = make_engine()
@@ -137,6 +160,16 @@ class TestLaunchResult:
             eng.charge_flops(10)
         res = eng.result()
         assert "panel0" in res.phase_totals
+
+    def test_phases_appear_on_their_first_charge(self):
+        eng = make_engine()
+        with eng.phase("empty"):
+            pass
+        with eng.phase("outer"):
+            with eng.phase("inner"):
+                eng.charge_flops(1)
+            eng.charge_flops(2)
+        assert list(eng.result().phase_totals) == ["inner", "outer"]
 
     def test_throughput_steady_state(self):
         eng = make_engine()
