@@ -161,22 +161,17 @@ def launch_results() -> dict:
                         f"{'fast' if fast_math else 'precise'}/{m}x{n}"
                     )
                     out[key] = launch_record(approach.launch(work))
-    programs = {
-        "cholesky": lambda a, b: device.per_block_cholesky(a),
-        "gauss_jordan": device.per_block_gauss_jordan,
-        "least_squares": device.per_block_least_squares,
-        "lu": lambda a, b: device.per_block_lu(a),
-        "lu_pivot": lambda a, b: device.per_block_lu_pivot(a),
-        "qr": lambda a, b: device.per_block_qr(a),
-        "qr_solve": device.per_block_qr_solve,
-    }
+    per_block = sorted(
+        (info for info in device.KERNELS if info.family == "per_block"),
+        key=lambda info: info.op,
+    )
     with block_engine_factory(BlockEngine):
         for dtype in (np.float32, np.float64, np.complex64, np.complex128):
             for n in DEVICE_SIZES:
                 a, b = _device_inputs(n, dtype)
-                for name, run in programs.items():
-                    key = f"device/{name}/{np.dtype(dtype).name}/{n}x{n}"
-                    out[key] = launch_record(run(a, b).launch)
+                for info in per_block:
+                    key = f"device/{info.op}/{np.dtype(dtype).name}/{n}x{n}"
+                    out[key] = launch_record(info.call(a, b).launch)
     return out
 
 

@@ -65,19 +65,18 @@ __all__ = [
     "run_sweep",
     "sanitize_enabled",
     "sanitizing",
-    "sweep_cases",
 ]
 
 
 def __getattr__(name: str):
-    # The sweep registry, cost certifier, and CLI import the full kernel
+    # The sanitizer sweep, cost certifier, and CLI import the full kernel
     # stack; loading them eagerly here would cycle through gpu.simt
     # (which imports the sanitizer).  PEP 562 keeps them one attribute
     # access away.
-    if name in ("run_sweep", "sweep_cases"):
-        from . import registry
+    if name == "run_sweep":
+        from .registry import run_sweep
 
-        return getattr(registry, name)
+        return run_sweep
     if name == "run_costcheck":
         from .costcheck import run_costcheck
 

@@ -171,6 +171,17 @@ def _cmd_costcheck(args: argparse.Namespace) -> int:
                 "repro_costcheck_mismatch_total",
                 kernel=case.name, term=term, check="baseline",
             )
+    if not args.cases:
+        # Over the full case list, a baseline entry nothing matched is a
+        # kernel or shape the registry dropped.
+        current = {case.key for case in cases}
+        for key, base in baseline.items():
+            if key not in current:
+                drift.append(f"{key}: missing from registry")
+                counter_inc(
+                    "repro_costcheck_mismatch_total",
+                    kernel=base.kernel, term="case", check="baseline",
+                )
     if args.json:
         print(json.dumps(drift, indent=2))
     else:

@@ -1,10 +1,11 @@
 """Static cost certifier for the device-kernel surface.
 
-``repro.analyze.costcheck`` abstractly interprets every kernel in the
-sweep registry over symbolic ``(op, m, n, batch)`` domains and certifies
-the derived closed-form footprints -- flops, global load/store bytes,
-shared-memory traffic, register estimate, synchronization count --
-against three independent oracles:
+``repro.analyze.costcheck`` abstractly interprets every kernel of the
+case list (:mod:`repro.analyze.registry`) over symbolic
+``(op, m, n, batch)`` domains and certifies the derived closed-form
+footprints -- flops, global load/store bytes, shared-memory traffic,
+register estimate, synchronization count -- against three independent
+oracles:
 
 1. **the analytic model** (:func:`repro.model.per_block_counts` and
    :func:`repro.model.per_thread_model.predict_per_thread`): exact
@@ -24,7 +25,7 @@ CLI: ``python -m repro.analyze costcheck {verify,table,diff}``.
 
 from __future__ import annotations
 
-from .cases import CostCase, UnknownCaseError, cost_cases, select_cases
+from ..registry import CostCase, UnknownCaseError, cost_cases, select_cases
 from .checks import (
     CaseReport,
     analytic_flops,

@@ -40,7 +40,7 @@ from ...model.per_block_model import per_block_counts
 from ...model.per_thread_model import predict_per_thread
 from ...observe.metrics import counter_inc
 from ...observe.tracer import tracing
-from .cases import CostCase, cost_cases
+from ..registry import CostCase, cost_cases
 from .footprint import Footprint, diff_terms
 from .interp import interpret
 

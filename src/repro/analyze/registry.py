@@ -1,136 +1,107 @@
-"""Sanitizer sweep registry: every device kernel, several shapes.
+"""The analysis case list: every device kernel at three sizes.
 
-``python -m repro.analyze sanitize`` runs each registered case under
-:func:`repro.analyze.sanitizing` and reports the per-launch
-:class:`~repro.analyze.sanitizer.SanitizeReport`.  Problem batches come
-from the same generators the tests use (``kernels.batched.problems``),
-seeded, so a sweep is deterministic run-to-run.
+One :class:`CostCase` per entry of :data:`repro.kernels.device.KERNELS`
+at each size, seeded ``100 + n``.  ``python -m repro.analyze sanitize``
+race-checks every case (:func:`run_sweep`) and ``costcheck`` certifies
+every case, so the kernel surface CI race-checks and the surface it
+cost-certifies are one list.  Each case's ``run(batch, seed)`` launches
+the kernel on fresh seeded samples, so the sanitizer sweep is
+deterministic run-to-run and the certifier's abstract interpreter can
+execute independent witnesses.
 
 The per-thread kernels never touch shared memory (one problem per
-thread, registers only), so their cases exist to prove the sweep covers
-the whole device-kernel surface: they report ``sanitizer: None`` and
-count as trivially clean.
+thread, registers only), so the sweep reports them as ``report: None``
+and trivially clean.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional
+import functools
+from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
-__all__ = ["SweepCase", "run_sweep", "sweep_cases"]
+__all__ = [
+    "CostCase",
+    "UnknownCaseError",
+    "cost_cases",
+    "run_sweep",
+    "select_cases",
+]
 
 #: Matrix sizes covering a single panel (4), the Figure 8 sweet spot
 #: (8), and a ragged multi-panel shape (13).
 _SIZES = (4, 8, 13)
+#: Problems per sanitizer launch.
 _BATCH = 4
 
 
+class UnknownCaseError(ValueError):
+    """A requested kernel/case name is not in the case list."""
+
+
 @dataclasses.dataclass(frozen=True)
-class SweepCase:
-    """One sanitizer run: a named kernel at one problem shape."""
+class CostCase:
+    """One kernel at one launch shape."""
 
-    kernel: str
-    shape: str
-    run: Callable[[], Optional[object]]  # returns SanitizeReport or None
+    name: str
+    op: str
+    family: str  # "per_block" | "per_thread"
+    m: int
+    n: int
+    seed: int
+    #: ``run(batch, seed)`` executes the kernel on a fresh witness input.
+    run: Callable[[int, int], object]
 
-
-def _problems(n: int, seed: int, batch: int = _BATCH):
-    from ..kernels.batched.problems import diagonally_dominant_batch, rhs_batch
-
-    a = diagonally_dominant_batch(batch, n, seed=seed)
-    b = rhs_batch(batch, n, seed=seed + 1)
-    return a, b
-
-
-def _hpd(n: int, seed: int, batch: int = _BATCH) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((batch, n, n)).astype(np.float32)
-    return (a @ a.transpose(0, 2, 1) + n * np.eye(n, dtype=np.float32)).astype(
-        np.float32
-    )
+    @property
+    def key(self) -> str:
+        return f"{self.name}[{self.m}x{self.n}]"
 
 
-def _tall(m: int, n: int, seed: int, batch: int = _BATCH):
-    rng = np.random.default_rng(seed)
-    return (
-        rng.standard_normal((batch, m, n)).astype(np.float32),
-        rng.standard_normal((batch, m)).astype(np.float32),
-    )
+def _launch(info, n: int, batch: int, seed: int):
+    return info.call(*info.sample(n, seed, batch))
 
 
-def sweep_cases() -> List[SweepCase]:
-    """Every (kernel, shape) pair the sanitize CLI exercises."""
-    from ..kernels.device.per_block_cholesky import per_block_cholesky
-    from ..kernels.device.per_block_gj import per_block_gauss_jordan
-    from ..kernels.device.per_block_lstsq import per_block_least_squares
-    from ..kernels.device.per_block_lu import per_block_lu
-    from ..kernels.device.per_block_lu_pivot import per_block_lu_pivot
-    from ..kernels.device.per_block_qr import per_block_qr, per_block_qr_solve
-    from ..kernels.device.per_thread import per_thread_factor
+def cost_cases() -> List[CostCase]:
+    """Every (kernel, shape) pair the sanitize and costcheck CLIs run."""
+    from ..kernels.device.registry import KERNELS
 
-    def launch_report(result):
-        return result.launch.sanitizer
-
-    cases: List[SweepCase] = []
-    for n in _SIZES:
-        seed = 100 + n
-
-        def lu(n=n, seed=seed):
-            a, _ = _problems(n, seed)
-            return launch_report(per_block_lu(a))
-
-        def lu_pivot(n=n, seed=seed):
-            a, _ = _problems(n, seed)
-            return launch_report(per_block_lu_pivot(a))
-
-        def qr(n=n, seed=seed):
-            a, _ = _tall(n + 4, n, seed)
-            return launch_report(per_block_qr(a))
-
-        def qr_solve(n=n, seed=seed):
-            a, b = _problems(n, seed)
-            return launch_report(per_block_qr_solve(a, b))
-
-        def gauss_jordan(n=n, seed=seed):
-            a, b = _problems(n, seed)
-            return launch_report(per_block_gauss_jordan(a, b))
-
-        def cholesky(n=n, seed=seed):
-            return launch_report(per_block_cholesky(_hpd(n, seed)))
-
-        def least_squares(n=n, seed=seed):
-            a, b = _tall(n + 4, n, seed)
-            return launch_report(per_block_least_squares(a, b))
-
-        def thread_qr(n=n, seed=seed):
-            a, _ = _problems(n, seed)
-            per_thread_factor(a, kind="qr")
-            return None  # registers only -- no shared memory to sanitize
-
-        def thread_lu(n=n, seed=seed):
-            a, _ = _problems(n, seed)
-            per_thread_factor(a, kind="lu")
-            return None
-
-        for kernel, fn in [
-            ("per_block_lu", lu),
-            ("per_block_lu_pivot", lu_pivot),
-            ("per_block_qr", qr),
-            ("per_block_qr_solve", qr_solve),
-            ("per_block_gauss_jordan", gauss_jordan),
-            ("per_block_cholesky", cholesky),
-            ("per_block_least_squares", least_squares),
-            ("per_thread_qr", thread_qr),
-            ("per_thread_lu", thread_lu),
-        ]:
-            m = n + 4 if kernel in ("per_block_qr", "per_block_least_squares") else n
-            cases.append(SweepCase(kernel=kernel, shape=f"{m}x{n}", run=fn))
-    return cases
+    return [
+        CostCase(
+            name=info.name,
+            op=info.op,
+            family=info.family,
+            m=info.shape(n)[0],
+            n=n,
+            seed=100 + n,
+            run=functools.partial(_launch, info, n),
+        )
+        for n in _SIZES
+        for info in KERNELS
+    ]
 
 
-def run_sweep(cases: Optional[List[SweepCase]] = None) -> List[dict]:
+def select_cases(
+    names: Optional[Sequence[str]] = None, cases: Optional[List[CostCase]] = None
+) -> List[CostCase]:
+    """Filter the case list by kernel name or ``kernel[MxN]`` key.
+
+    Raises :class:`UnknownCaseError` (the CLI's exit-2 spec error) when a
+    requested name matches nothing.
+    """
+    pool = cases if cases is not None else cost_cases()
+    if not names:
+        return pool
+    known = {c.name for c in pool} | {c.key for c in pool}
+    missing = [name for name in names if name not in known]
+    if missing:
+        raise UnknownCaseError(
+            f"unknown case(s): {', '.join(missing)}; known kernels: "
+            + ", ".join(sorted({c.name for c in pool}))
+        )
+    return [c for c in pool if c.name in names or c.key in names]
+
+
+def run_sweep(cases: Optional[List[CostCase]] = None) -> List[dict]:
     """Run the sweep under the sanitizer; one result dict per case.
 
     Each dict carries ``kernel``, ``shape``, ``ok``, and either the full
@@ -140,10 +111,11 @@ def run_sweep(cases: Optional[List[SweepCase]] = None) -> List[dict]:
     from .sanitizer import sanitizing
 
     results: List[dict] = []
-    for case in cases if cases is not None else sweep_cases():
+    for case in cases if cases is not None else cost_cases():
         with sanitizing(True):
-            report = case.run()
-        entry = {"kernel": case.kernel, "shape": case.shape}
+            result = case.run(_BATCH, case.seed)
+        report = result.launch.sanitizer if case.family == "per_block" else None
+        entry = {"kernel": case.name, "shape": f"{case.m}x{case.n}"}
         if report is None:
             entry.update(ok=True, report=None)
         else:

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Literal
+from typing import Literal, get_args
 
 __all__ = ["Approach", "Workload"]
 
 Kind = Literal["qr", "lu", "gauss_jordan", "least_squares"]
+_KINDS = get_args(Kind)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,7 +40,7 @@ class Workload:
             raise ValueError("matrix dimensions must be positive")
         if self.batch < 1:
             raise ValueError("batch must be positive")
-        if self.kind not in ("qr", "lu", "gauss_jordan", "least_squares"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown factorization kind: {self.kind!r}")
 
     @classmethod
@@ -63,9 +64,9 @@ class Approach(abc.ABC):
 
     def seconds(self, work: Workload) -> float:
         """Wall time implied by :meth:`gflops` and the FLOP convention."""
-        from ..model.cpu_model import CpuModel  # FLOP accounting helper
+        from ..model.flops import workload_flops
 
-        flops = CpuModel().work_flops(work.kind, work.m, work.n, work.complex_dtype)
+        flops = workload_flops(work.kind, work.m, work.n, work.complex_dtype)
         rate = self.gflops(work) * 1e9
         if rate <= 0:
             raise ArithmeticError(f"{self.name} reported non-positive throughput")

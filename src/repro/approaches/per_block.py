@@ -15,8 +15,7 @@ from ..errors import LaunchConfigurationError, SharedMemoryOverflowError
 from ..gpu.device import QUADRO_6000, DeviceSpec
 from ..gpu.simt import BlockEngine, LaunchResult
 from ..model.block_config import BlockConfig, block_config
-from ..model.cpu_model import CpuModel
-from ..model.flops import matrix_bytes
+from ..model.flops import matrix_bytes, workload_flops
 from .base import Approach, Workload
 
 __all__ = ["PerBlockApproach"]
@@ -31,7 +30,6 @@ class PerBlockApproach(Approach):
     def __init__(self, device: DeviceSpec = QUADRO_6000, fast_math: bool = True):
         self.device = device
         self.fast_math = fast_math
-        self._flops = CpuModel().work_flops
 
     def supports(self, work: Workload) -> bool:
         if work.kind in ("qr", "least_squares") and work.m < work.n:
@@ -161,7 +159,7 @@ class PerBlockApproach(Approach):
             engine.charge_global(work.n * word, kind="copy")
         else:  # pragma: no cover - Workload validates kinds
             raise ValueError(f"unknown factorization kind: {work.kind!r}")
-        flops = self._flops(work.kind, work.m, work.n, work.complex_dtype)
+        flops = workload_flops(work.kind, work.m, work.n, work.complex_dtype)
         return engine.result(flops_per_block=flops)
 
     def gflops(self, work: Workload) -> float:

@@ -14,8 +14,7 @@ from ..gpu.memory_system import MemorySystem
 from ..gpu.occupancy import occupancy
 from ..gpu.registers import RegisterAllocation, registers_for_matrix
 from ..kernels.device.per_thread import spill_touches
-from ..model.cpu_model import CpuModel
-from ..model.flops import matrix_bytes
+from ..model.flops import matrix_bytes, workload_flops
 from .base import Approach, Workload
 
 __all__ = ["PerThreadApproach"]
@@ -28,7 +27,6 @@ class PerThreadApproach(Approach):
         self.device = device
         self.threads_per_block = threads_per_block
         self._memory = MemorySystem(device)
-        self._flops = CpuModel().work_flops
 
     def supports(self, work: Workload) -> bool:
         # Serial in-thread code exists for the factorizations; solves
@@ -58,12 +56,12 @@ class PerThreadApproach(Approach):
             min(regs.granted(), self.device.max_registers_per_thread),
         )
         efficiency = min(1.0, occ.occupancy_fraction * 2.0)
-        flops = self._flops(work.kind, work.m, work.n, work.complex_dtype)
+        flops = workload_flops(work.kind, work.m, work.n, work.complex_dtype)
         compute_seconds = work.batch * flops / (
             self.device.peak_sp_flops * efficiency
         )
         return max(bw_seconds, compute_seconds)
 
     def gflops(self, work: Workload) -> float:
-        flops = self._flops(work.kind, work.m, work.n, work.complex_dtype)
+        flops = workload_flops(work.kind, work.m, work.n, work.complex_dtype)
         return flops * work.batch / self.seconds(work) / 1e9

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..gpu.device import QUADRO_6000, DeviceSpec
 from ..gpu.registers import RegisterAllocation
 from ..model.block_config import block_config
-from ..model.cpu_model import CpuModel
+from ..model.flops import workload_flops
 from .base import Approach, Workload
 
 __all__ = ["TiledQrApproach"]
@@ -23,7 +23,6 @@ class TiledQrApproach(Approach):
     def __init__(self, device: DeviceSpec = QUADRO_6000, fast_math: bool = True):
         self.device = device
         self.fast_math = fast_math
-        self._flops = CpuModel().work_flops
 
     def supports(self, work: Workload) -> bool:
         return work.kind == "qr" and work.m >= work.n
@@ -47,5 +46,5 @@ class TiledQrApproach(Approach):
         return seconds
 
     def gflops(self, work: Workload) -> float:
-        flops = self._flops(work.kind, work.m, work.n, work.complex_dtype)
+        flops = workload_flops(work.kind, work.m, work.n, work.complex_dtype)
         return flops * work.batch / self.seconds(work) / 1e9

@@ -40,10 +40,12 @@ from __future__ import annotations
 import dataclasses
 import time
 import zlib
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
+from ..approaches.base import Kind
+from ..kernels.device.registry import KERNELS, RUNTIME_KERNELS
 from ..model.per_block_model import predict_per_block
 from ..model.per_thread_model import predict_per_thread
 from .spec import DEVICES, Cell
@@ -62,10 +64,10 @@ __all__ = [
 APPROACHES = ("cpu", "hybrid", "per_block", "per_thread", "runtime")
 
 #: Ops the sharded runtime executes as real batched kernels.
-RUNTIME_OPS = ("cholesky", "lu", "lu_pivot", "qr")
+RUNTIME_OPS = tuple(sorted(RUNTIME_KERNELS))
 
 #: Ops the approach layer models as :class:`~repro.approaches.Workload`.
-WORKLOAD_OPS = ("gauss_jordan", "least_squares", "lu", "qr")
+WORKLOAD_OPS = tuple(sorted(get_args(Kind)))
 
 _DTYPES = {"float32": np.float32, "float64": np.float64, "complex64": np.complex64}
 
@@ -162,8 +164,9 @@ def supported(cell: Cell) -> Optional[str]:
             return f"runtime kernels take real dtypes, not {cell.precision}"
         return None
     if cell.approach == "per_thread":
-        if cell.op not in _MODELED_OPS:
-            return f"per_thread factors qr/lu, not {cell.op!r}"
+        ops = [info.op for info in KERNELS if info.family == "per_thread"]
+        if cell.op not in ops:
+            return f"per_thread factors {'/'.join(ops)}, not {cell.op!r}"
         if cell.precision not in ("float32", "float64"):
             return f"per_thread takes real dtypes, not {cell.precision}"
         if cell.size > 128:

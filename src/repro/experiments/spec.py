@@ -56,9 +56,11 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, get_args
 
+from ..approaches.base import Kind
 from ..gpu.device import G80, GTX480, QUADRO_6000
+from ..kernels.device.registry import RUNTIME_KERNELS
 from ..resilience.faults import parse_faults
 
 __all__ = [
@@ -94,7 +96,7 @@ DEVICES = {
 
 #: Union of runtime kernel names and approach-layer workload kinds; the
 #: per-approach support matrix lives in :mod:`repro.experiments.runner`.
-OPS = ("cholesky", "gauss_jordan", "least_squares", "lu", "lu_pivot", "qr")
+OPS = tuple(sorted({*RUNTIME_KERNELS, *get_args(Kind)}))
 
 PRECISIONS = ("complex64", "float32", "float64")
 

@@ -42,13 +42,10 @@ from ...observe.metrics import counter_inc
 from ...observe.tracer import current_tracer
 
 __all__ = [
-    "BREAKDOWN_DETECTORS",
     "BlockKernel",
     "DeviceKernelResult",
     "block_engine_factory",
-    "breakdown_detector",
     "launch",
-    "nonfinite_breakdowns",
 ]
 
 #: Override for the engine class a :class:`BlockKernel` constructs.
@@ -73,36 +70,6 @@ def block_engine_factory(factory: Callable[..., BlockEngine]) -> Iterator[None]:
         yield
     finally:
         _ENGINE_FACTORY.reset(token)
-
-#: Per-problem breakdown detectors keyed by runtime op name.  A detector
-#: takes a kernel's raw ``(output, extra)`` and returns ``{batch index:
-#: reason}`` for every problem whose factorization broke down (zero
-#: pivot, non-PSD input, non-finite output...).  The runtime's numerical
-#: quarantine (:mod:`repro.resilience.quarantine`) consults this registry
-#: so one singular matrix fails *its slot*, never the batch.
-BREAKDOWN_DETECTORS: Dict[str, Callable[..., Dict[int, str]]] = {}
-
-
-def breakdown_detector(op: str):
-    """Register a breakdown detector for runtime op ``op`` (decorator)."""
-
-    def register(fn):
-        BREAKDOWN_DETECTORS[op] = fn
-        return fn
-
-    return register
-
-
-def nonfinite_breakdowns(output: np.ndarray, extra=None) -> Dict[int, str]:
-    """Default detector: flag problems whose output holds Inf/NaN.
-
-    A factorization that produced a non-finite entry is unusable no
-    matter which algorithm ran, so this is the floor every per-op
-    detector builds on.
-    """
-    flat = np.asarray(output).reshape(output.shape[0], -1)
-    bad = ~np.isfinite(flat).all(axis=1)
-    return {int(i): "non-finite" for i in np.nonzero(bad)[0]}
 
 
 def as_problems(a) -> np.ndarray:

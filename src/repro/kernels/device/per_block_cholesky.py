@@ -21,26 +21,9 @@ import numpy as np
 from ...gpu.device import QUADRO_6000, DeviceSpec
 from ...model.block_config import BlockConfig
 from ..batched.alternatives import cholesky_factor_flagged
-from .base import (
-    BlockKernel,
-    DeviceKernelResult,
-    as_problems,
-    breakdown_detector,
-    launch,
-    nonfinite_breakdowns,
-)
+from .base import BlockKernel, DeviceKernelResult, as_problems, launch
 
 __all__ = ["per_block_cholesky", "cholesky_flops"]
-
-
-@breakdown_detector("cholesky")
-def _cholesky_breakdowns(output: np.ndarray, extra) -> dict:
-    """Quarantine hook: ``extra`` flags problems that were not HPD."""
-    found = nonfinite_breakdowns(output)
-    if extra is not None:
-        for i in np.nonzero(np.asarray(extra, dtype=bool))[0]:
-            found[int(i)] = "not-positive-definite"
-    return found
 
 
 def cholesky_flops(n: int) -> float:

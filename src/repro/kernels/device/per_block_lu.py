@@ -20,26 +20,9 @@ from ...gpu.device import QUADRO_6000, DeviceSpec
 from ...model.block_config import BlockConfig
 from ...model.flops import lu_flops
 from ..batched.lu import lu_factor
-from .base import (
-    BlockKernel,
-    DeviceKernelResult,
-    as_problems,
-    breakdown_detector,
-    launch,
-    nonfinite_breakdowns,
-)
+from .base import BlockKernel, DeviceKernelResult, as_problems, launch
 
 __all__ = ["per_block_lu"]
-
-
-@breakdown_detector("lu")
-def _lu_breakdowns(output: np.ndarray, extra) -> dict:
-    """Quarantine hook: ``extra`` is the kernel's zero-pivot flag array."""
-    found = nonfinite_breakdowns(output)
-    if extra is not None:
-        for i in np.nonzero(np.asarray(extra, dtype=bool))[0]:
-            found[int(i)] = "zero-pivot"
-    return found
 
 
 def _lu_costs(kernel: BlockKernel) -> None:

@@ -35,31 +35,9 @@ from ...gpu.device import QUADRO_6000, DeviceSpec
 from ...model.block_config import BlockConfig
 from ...model.flops import lu_flops
 from ..batched.lu import lu_factor_pivot
-from .base import (
-    BlockKernel,
-    DeviceKernelResult,
-    as_problems,
-    breakdown_detector,
-    launch,
-    nonfinite_breakdowns,
-)
+from .base import BlockKernel, DeviceKernelResult, as_problems, launch
 
 __all__ = ["per_block_lu_pivot"]
-
-
-@breakdown_detector("lu_pivot")
-def _lu_pivot_breakdowns(output: np.ndarray, extra) -> dict:
-    """Quarantine hook: a zero on U's diagonal means rank deficiency.
-
-    ``extra`` is the permutation (not a flag array), so singularity is
-    read off the packed factor itself: partial pivoting only leaves a
-    zero pivot when the whole remaining column was zero.
-    """
-    found = nonfinite_breakdowns(output)
-    diag = np.diagonal(np.asarray(output), axis1=-2, axis2=-1)
-    for i in np.nonzero((diag == 0).any(axis=-1))[0]:
-        found[int(i)] = "zero-pivot"
-    return found
 
 
 def _lu_pivot_costs(kernel: BlockKernel) -> None:

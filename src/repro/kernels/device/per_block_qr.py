@@ -21,32 +21,9 @@ from ...gpu.device import QUADRO_6000, DeviceSpec
 from ...model.block_config import BlockConfig
 from ...model.flops import qr_flops, qr_flops_complex
 from ..batched.qr import qr_factor, qr_solve_with_taus
-from .base import (
-    BlockKernel,
-    DeviceKernelResult,
-    as_problems,
-    as_rhs,
-    breakdown_detector,
-    launch,
-    nonfinite_breakdowns,
-)
+from .base import BlockKernel, DeviceKernelResult, as_problems, as_rhs, launch
 
 __all__ = ["per_block_qr", "per_block_qr_solve"]
-
-
-@breakdown_detector("qr")
-def _qr_breakdowns(output: np.ndarray, extra) -> dict:
-    """Quarantine hook: non-finite factors *or* taus fail the slot.
-
-    Householder QR has no pivot to hit zero -- a breakdown surfaces as
-    Inf/NaN from an overflowed norm or a degenerate reflector.
-    """
-    found = nonfinite_breakdowns(output)
-    if extra is not None:
-        taus = np.asarray(extra).reshape(extra.shape[0], -1)
-        for i in np.nonzero(~np.isfinite(taus).all(axis=1))[0]:
-            found.setdefault(int(i), "non-finite")
-    return found
 
 
 def householder_costs(kernel: BlockKernel, ncols: int) -> None:

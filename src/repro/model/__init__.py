@@ -24,6 +24,7 @@ from .flops import (
     matrix_words,
     qr_flops,
     qr_flops_complex,
+    workload_flops,
 )
 from .hybrid_model import HybridConfig, HybridModel
 from .intensity import arithmetic_intensity, factorization_intensity, roofline_gflops
@@ -60,6 +61,7 @@ __all__ = [
     "matrix_words",
     "qr_flops",
     "qr_flops_complex",
+    "workload_flops",
     "HybridConfig",
     "HybridModel",
     "arithmetic_intensity",

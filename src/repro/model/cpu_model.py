@@ -28,13 +28,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Literal
 
-from .flops import (
-    gauss_jordan_flops,
-    least_squares_flops,
-    lu_flops,
-    qr_flops,
-    qr_flops_complex,
-)
+from .flops import workload_flops
 
 __all__ = ["CpuSpec", "I7_2600", "MklKernelModel", "CpuModel"]
 
@@ -144,18 +138,6 @@ class CpuModel:
             small_rate=base.small_rate * self._scale,
         )
 
-    def work_flops(self, kind: Kind, m: int, n: int, complex_dtype: bool) -> float:
-        if kind == "qr":
-            return qr_flops_complex(m, n) if complex_dtype else qr_flops(m, n)
-        factor = 4 if complex_dtype else 1
-        if kind == "lu":
-            return factor * lu_flops(n)
-        if kind == "gauss_jordan":
-            return factor * gauss_jordan_flops(n)
-        if kind == "least_squares":
-            return factor * least_squares_flops(m, n)
-        raise ValueError(f"unknown factorization kind: {kind!r}")
-
     def seconds(
         self,
         kind: Kind,
@@ -172,7 +154,7 @@ class CpuModel:
         n = m if n is None else n
         if batch < 1:
             raise ValueError("batch must be positive")
-        work = self.work_flops(kind, m, n, complex_dtype)
+        work = workload_flops(kind, m, n, complex_dtype)
         # The kernel model's rates are aggregate over all cores, so one
         # problem at the single-core rate takes `cores` times longer.
         per_problem_aggregate = self._kernel(kind, complex_dtype).seconds_per_problem(
@@ -192,6 +174,6 @@ class CpuModel:
     ) -> float:
         """Aggregate GFLOP/s over the batch."""
         n = m if n is None else n
-        work = self.work_flops(kind, m, n, complex_dtype)
+        work = workload_flops(kind, m, n, complex_dtype)
         secs = self.seconds(kind, m, n, batch, complex_dtype)
         return work * batch / secs / 1e9

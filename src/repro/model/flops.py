@@ -23,6 +23,7 @@ __all__ = [
     "qr_flops",
     "qr_flops_complex",
     "least_squares_flops",
+    "workload_flops",
     "matmul_flops",
     "matrix_words",
     "matrix_bytes",
@@ -68,6 +69,25 @@ def least_squares_flops(m: int, n: int) -> float:
     if m < n:
         raise ValueError("least squares expects m >= n")
     return 2.0 * m * n * n - 2.0 / 3.0 * float(n) ** 3 + 1.0 / 3.0 * float(n) ** 3
+
+
+def workload_flops(kind: str, m: int, n: int, complex_dtype: bool = False) -> float:
+    """FLOPs of one ``m x n`` problem of an approach-layer workload kind.
+
+    ``kind`` is ``qr``, ``lu``, ``gauss_jordan`` or ``least_squares``.
+    Complex QR uses the Section VII count; the other complex kinds count
+    four real FLOPs per complex one.
+    """
+    if kind == "qr":
+        return qr_flops_complex(m, n) if complex_dtype else qr_flops(m, n)
+    factor = 4 if complex_dtype else 1
+    if kind == "lu":
+        return factor * lu_flops(n)
+    if kind == "gauss_jordan":
+        return factor * gauss_jordan_flops(n)
+    if kind == "least_squares":
+        return factor * least_squares_flops(m, n)
+    raise ValueError(f"unknown factorization kind: {kind!r}")
 
 
 def matmul_flops(m: int, k: int, n: int) -> float:

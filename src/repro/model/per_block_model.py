@@ -30,14 +30,7 @@ from typing import Literal
 from ..gpu.instructions import costs_for
 from ..gpu.occupancy import Occupancy, occupancy
 from .block_config import BlockConfig, block_config
-from .flops import (
-    gauss_jordan_flops,
-    least_squares_flops,
-    lu_flops,
-    matrix_bytes,
-    qr_flops,
-    qr_flops_complex,
-)
+from .flops import matrix_bytes, workload_flops
 from .parameters import ModelParameters
 
 __all__ = [
@@ -232,21 +225,6 @@ class PerBlockPrediction:
         return self.flops_per_problem * blocks / seconds / 1e9
 
 
-def _flops_for(kind: str, m: int, n: int, complex_dtype: bool) -> float:
-    if kind == "qr":
-        return qr_flops_complex(m, n) if complex_dtype else qr_flops(m, n)
-    if kind == "lu":
-        factor = 4 if complex_dtype else 1
-        return factor * lu_flops(n)
-    if kind == "gauss_jordan":
-        factor = 4 if complex_dtype else 1
-        return factor * gauss_jordan_flops(n)
-    if kind == "least_squares":
-        factor = 4 if complex_dtype else 1
-        return factor * least_squares_flops(m, n)
-    raise ValueError(f"unknown factorization kind: {kind!r}")
-
-
 def predict_per_block(
     params: ModelParameters,
     kind: Kind,
@@ -300,7 +278,7 @@ def predict_per_block(
         columns=columns,
         compute_cycles=compute,
         dram_cycles=dram_cycles,
-        flops_per_problem=_flops_for(kind, m, n, complex_dtype),
+        flops_per_problem=workload_flops(kind, m, n, complex_dtype),
         occupancy=occ,
     )
 

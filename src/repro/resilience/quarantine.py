@@ -5,7 +5,7 @@ cost the launch.  The device kernels already run breakdown-tolerant --
 an exactly-zero pivot is where-protected and flagged rather than
 raised -- so the runtime's job is to *surface* those flags per problem:
 after the chunks complete, each outcome is scanned with its kernel's
-breakdown detector (:data:`repro.kernels.device.BREAKDOWN_DETECTORS`),
+breakdown detector (its :attr:`~repro.kernels.device.KernelInfo.detector`),
 failing slots are masked to NaN in the merged output, and a structured
 :class:`ProblemFailure` record (op, group, batch index, reason) lands on
 ``BatchReport.failures``.
@@ -48,13 +48,14 @@ class ProblemFailure:
 def scan_output(op: str, output: np.ndarray, extra) -> Dict[int, str]:
     """Per-problem breakdown reasons for one chunk's raw kernel result.
 
-    Dispatches to the kernel's registered detector; unknown ops fall
-    back to a non-finite scan (a factorization that produced Inf/NaN is
+    Dispatches to the runtime kernel's detector; unknown ops fall back
+    to a non-finite scan (a factorization that produced Inf/NaN is
     unusable whatever the algorithm was).
     """
-    from ..kernels.device import BREAKDOWN_DETECTORS, nonfinite_breakdowns
+    from ..kernels.device.registry import RUNTIME_KERNELS, nonfinite_breakdowns
 
-    detector = BREAKDOWN_DETECTORS.get(op, nonfinite_breakdowns)
+    info = RUNTIME_KERNELS.get(op)
+    detector = nonfinite_breakdowns if info is None else info.detector
     return detector(output, extra)
 
 

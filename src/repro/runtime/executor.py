@@ -68,21 +68,12 @@ from .sharding import DEFAULT_CHUNK_COST, ProblemBatch, plan_chunks
 __all__ = ["BatchRuntime", "default_workers", "run_batched", "supported_ops"]
 
 
-def _kernel_registry() -> dict:
-    # Deferred: repro.kernels.device pulls in the whole kernel stack.
-    from ..kernels import device as dk
-
-    return {
-        "lu": dk.per_block_lu,
-        "lu_pivot": dk.per_block_lu_pivot,
-        "qr": dk.per_block_qr,
-        "cholesky": dk.per_block_cholesky,
-    }
-
-
 def supported_ops() -> list[str]:
     """Kernel names :func:`run_batched` accepts."""
-    return sorted(_kernel_registry())
+    # Deferred: repro.kernels.device pulls in the whole kernel stack.
+    from ..kernels.device.registry import RUNTIME_KERNELS
+
+    return sorted(RUNTIME_KERNELS)
 
 
 def default_workers() -> int:
@@ -129,8 +120,10 @@ def _execute_chunk(
     numerical payload so the supervisor can detect transport corruption.
     """
     entry = time.perf_counter()
-    kernel = _kernel_registry().get(op)
-    if kernel is None:
+    from ..kernels.device.registry import RUNTIME_KERNELS
+
+    info = RUNTIME_KERNELS.get(op)
+    if info is None:
         raise ValueError(f"unknown batched op {op!r}; supported: {supported_ops()}")
     if faults is not None:
         faults.apply_pre(chunk_index, attempt, nchunks)
@@ -146,7 +139,7 @@ def _execute_chunk(
         if traced:
             with tracing() as tracer:
                 kernel_start = tracer.now()
-                result = kernel(data, **kwargs)
+                result = info.call(data, **kwargs)
                 if scope is not None:
                     _emit_worker_spans(
                         tracer,
@@ -163,7 +156,7 @@ def _execute_chunk(
             dropped = tracer.dropped
             clock = tracer.origin
         else:
-            result = kernel(data, **kwargs)
+            result = info.call(data, **kwargs)
             events = []
             registry = None
     finally:

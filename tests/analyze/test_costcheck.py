@@ -22,7 +22,6 @@ from repro.analyze.costcheck import (
     run_costcheck,
     select_cases,
 )
-from repro.analyze.registry import sweep_cases
 from repro.gpu.device import QUADRO_6000
 from repro.gpu.registers import RegisterAllocation
 from repro.kernels.device.per_block_lu import per_block_lu
@@ -46,15 +45,9 @@ def _random_batch(batch, n, seed):
 
 
 class TestRegistry:
-    def test_mirrors_the_sanitize_sweep(self):
-        ours = [(c.name, f"{c.m}x{c.n}") for c in cost_cases()]
-        theirs = [(c.kernel, c.shape) for c in sweep_cases()]
-        assert ours == theirs
-        assert len(ours) == 27
-
     def test_keys_are_unique(self):
         keys = [c.key for c in cost_cases()]
-        assert len(keys) == len(set(keys))
+        assert len(keys) == len(set(keys)) == 27
 
     def test_select_by_name_and_key(self):
         assert len(select_cases(["per_block_lu"])) == 3
@@ -238,6 +231,32 @@ class TestCli:
         assert proc.returncode == 1
         for term in ("flop_ops", "global_bytes", "syncs"):
             assert term in proc.stdout
+
+    def test_diff_reports_baseline_cases_the_registry_dropped(
+        self, tmp_path, capsys
+    ):
+        from repro.analyze.cli import main
+
+        entries = json.loads(BASELINE.read_text())
+        retired = json.loads(json.dumps(entries[0]))
+        retired["footprint"]["kernel"] = "per_block_retired"
+        padded = tmp_path / "padded.json"
+        padded.write_text(json.dumps(entries + [retired]))
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            code = main(["costcheck", "diff", str(padded)])
+        finally:
+            set_default_registry(previous)
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"per_block_retired[{retired['shape']}]: missing from registry",
+            "27 case(s), 1 drift line(s)",
+        ]
+        assert registry.value(
+            "repro_costcheck_mismatch_total",
+            kernel="per_block_retired", term="case", check="baseline",
+        ) == 1.0
 
     def test_diff_clean_exits_0(self):
         proc = self._run(

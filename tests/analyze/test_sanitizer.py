@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyze.registry import run_sweep, sweep_cases
+from repro.analyze.registry import cost_cases, run_sweep
 from repro.analyze.sanitizer import (
     SharedSanitizer,
     sanitize_enabled,
@@ -184,7 +184,7 @@ SWEEP_PROTOCOL = {
 class TestCleanKernels:
     def test_full_sweep_is_clean(self):
         results = run_sweep()
-        assert len(results) == len(sweep_cases())
+        assert len(results) == len(cost_cases()) == 27
         bad = [r for r in results if not r["ok"]]
         assert bad == []
         # The per-block cases genuinely exercised shared memory...

@@ -14,6 +14,7 @@ from repro.kernels.batched import (
     solve_residual,
 )
 from repro.kernels.device import (
+    KERNELS,
     per_block_gauss_jordan,
     per_block_lu,
     per_block_qr,
@@ -375,40 +376,7 @@ class TestPerBlockCholesky:
             per_block_cholesky(random_batch(2, 8, 6, dtype=np.float32))
 
 
-def _per_block_call(name):
-    """``(kernel, args)`` for one launch of per-block kernel ``name``."""
-    from repro.kernels.device import (
-        per_block_cholesky,
-        per_block_least_squares,
-        per_block_lu_pivot,
-    )
-
-    square = diagonally_dominant_batch(3, 9, dtype=np.float32, seed=31)
-    rhs = rhs_batch(3, 9, dtype=np.float32, seed=32)[:, :, 0]
-    tall = random_batch(3, 13, 9, dtype=np.float32, seed=33)
-    tall_rhs = random_batch(3, 13, 1, dtype=np.float32, seed=34)[:, :, 0]
-    h = random_batch(3, 9, 9, dtype=np.float32, seed=35)
-    spd = (h @ np.swapaxes(h, 1, 2) + 9 * np.eye(9)).astype(np.float32)
-    return {
-        "per_block_lu": (per_block_lu, (square,)),
-        "per_block_lu_pivot": (per_block_lu_pivot, (square,)),
-        "per_block_qr": (per_block_qr, (tall,)),
-        "per_block_qr_solve": (per_block_qr_solve, (square, rhs)),
-        "per_block_gauss_jordan": (per_block_gauss_jordan, (square, rhs)),
-        "per_block_cholesky": (per_block_cholesky, (spd,)),
-        "per_block_least_squares": (per_block_least_squares, (tall, tall_rhs)),
-    }[name]
-
-
-PER_BLOCK_KERNELS = [
-    "per_block_lu",
-    "per_block_lu_pivot",
-    "per_block_qr",
-    "per_block_qr_solve",
-    "per_block_gauss_jordan",
-    "per_block_cholesky",
-    "per_block_least_squares",
-]
+PER_BLOCK = [info for info in KERNELS if info.family == "per_block"]
 
 
 def _launch_view(launch):
@@ -421,7 +389,7 @@ def _launch_view(launch):
     )
 
 
-@pytest.mark.parametrize("name", PER_BLOCK_KERNELS)
+@pytest.mark.parametrize("info", PER_BLOCK, ids=lambda info: info.name)
 class TestCostProgramMemo:
     """A per-block launch is a memoized, shape-only cost program."""
 
@@ -433,18 +401,18 @@ class TestCostProgramMemo:
         monkeypatch.setattr(base, "_LAUNCHES", memo)
         return memo
 
-    def test_hit_equals_miss_traced_and_sanitized(self, name, memo):
+    def test_hit_equals_miss_traced_and_sanitized(self, info, memo):
         from repro.analyze import sanitizing
         from repro.observe import tracing
 
-        kernel, args = _per_block_call(name)
-        miss = kernel(*args).launch
+        args = info.sample(9, 31, 3)
+        miss = info.call(*args).launch
         assert len(memo) == 1
-        hit = kernel(*args).launch
+        hit = info.call(*args).launch
         with tracing() as tracer:
-            traced = kernel(*args).launch
+            traced = info.call(*args).launch
         with sanitizing(True):
-            sanitized = kernel(*args).launch
+            sanitized = info.call(*args).launch
         assert len(memo) == 1  # observed launches neither read nor fill it
         assert tracer.events  # the traced launch ran its cost program
         assert sanitized.sanitizer is not None and sanitized.sanitizer.ok
@@ -454,21 +422,21 @@ class TestCostProgramMemo:
         assert _launch_view(traced) == view
         assert _launch_view(sanitized) == view
 
-    def test_returned_launch_is_a_private_copy(self, name, memo):
-        kernel, args = _per_block_call(name)
-        first = kernel(*args).launch
+    def test_returned_launch_is_a_private_copy(self, info, memo):
+        args = info.sample(9, 31, 3)
+        first = info.call(*args).launch
         expected = _launch_view(first)
-        for launch in (first, kernel(*args).launch):
+        for launch in (first, info.call(*args).launch):
             launch.phase_totals.clear()
             launch.breakdown.clear()
             launch.counters.add("sync.count", 1000.0)
-        assert _launch_view(kernel(*args).launch) == expected
+        assert _launch_view(info.call(*args).launch) == expected
 
-    def test_certifier_tape_is_recorded_on_a_warm_memo(self, name, memo):
+    def test_certifier_tape_is_recorded_on_a_warm_memo(self, info, memo):
         from repro.analyze.costcheck import AbstractEngine
         from repro.kernels.device.base import block_engine_factory
 
-        kernel, args = _per_block_call(name)
+        args = info.sample(9, 31, 3)
 
         def record():
             engines = []
@@ -478,12 +446,12 @@ class TestCostProgramMemo:
                 return engines[-1]
 
             with block_engine_factory(factory):
-                result = kernel(*args)
+                result = info.call(*args)
             (engine,) = engines
             return engine.tape, result.launch
 
         cold_tape, _ = record()
-        warm = kernel(*args).launch
+        warm = info.call(*args).launch
         assert memo
         tape, launch = record()
         assert tape == cold_tape
@@ -491,9 +459,9 @@ class TestCostProgramMemo:
         assert syncs == launch.counters.value("sync.count") > 0
         assert _launch_view(launch) == _launch_view(warm)
 
-    def test_input_is_not_mutated(self, name, memo):
-        kernel, args = _per_block_call(name)
+    def test_input_is_not_mutated(self, info, memo):
+        args = [arg for arg in info.sample(9, 31, 3) if arg is not None]
         before = [np.copy(arg) for arg in args]
-        kernel(*args)
+        info.call(*args)
         for arg, copy in zip(args, before):
             assert np.array_equal(arg, copy)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.batched import diagonally_dominant_batch
+from repro.kernels.device import KERNELS
 from repro.runtime import BatchRuntime, ProblemBatch
 from repro.resilience import ProblemFailure, scan_output
 
@@ -96,6 +97,46 @@ class TestCholeskyQuarantine:
         assert np.array_equal(np.delete(report.output, 2, axis=0), clean.output)
 
 
+def _zero_column(a):
+    a[:, 0] = 0.0
+
+
+def _overflow(a):
+    a[0, 0] = np.inf
+
+
+def _negate(a):
+    a *= -1.0
+
+
+#: Runtime op -> (how to break one problem, the reason its detector gives).
+BREAKDOWNS = {
+    "lu": (_zero_column, "zero-pivot"),
+    "lu_pivot": (_zero_column, "zero-pivot"),
+    "qr": (_overflow, "non-finite"),
+    "cholesky": (_negate, "not-positive-definite"),
+}
+
+
+@pytest.mark.parametrize(
+    "info", [info for info in KERNELS if info.runtime], ids=lambda info: info.op
+)
+def test_crafted_breakdown_fails_only_its_slot(tmp_path, info):
+    breaks, reason = BREAKDOWNS[info.op]
+    clean, _ = info.sample(7, 11, 6)
+    matrices = clean.copy()
+    breaks(matrices[2])
+    report = _runtime(tmp_path).run(ProblemBatch.single(info.op, matrices))
+    assert [(f.index, f.reason) for f in report.failures] == [(2, reason)]
+    assert np.isnan(report.output[2]).all()
+    reference = _runtime(tmp_path).run(ProblemBatch.single(info.op, clean))
+    assert reference.failures == []
+    survivors = [0, 1, 3, 4, 5]
+    assert (
+        report.output[survivors].tobytes() == reference.output[survivors].tobytes()
+    )
+
+
 class TestScanOutput:
     def test_unknown_op_falls_back_to_nonfinite_scan(self):
         output = np.ones((3, 2, 2))
@@ -104,6 +145,11 @@ class TestScanOutput:
 
     def test_clean_output_reports_nothing(self):
         assert scan_output("lu", np.ones((4, 3, 3)), None) == {}
+
+    def test_qr_flags_non_finite_taus(self):
+        taus = np.ones((3, 2))
+        taus[1, 0] = np.nan
+        assert scan_output("qr", np.ones((3, 4, 2)), taus) == {1: "non-finite"}
 
 
 class TestBitwiseNeutrality:

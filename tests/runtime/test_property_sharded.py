@@ -1,10 +1,11 @@
 """Property test: sharding never changes results or merged counters.
 
-For LU, pivoted LU, QR and Cholesky batches across worker counts 1/2/4
-and uneven chunk splits, the sharded runtime must produce
-bitwise-identical outputs and exactly-equal merged counter registries
-versus the serial path (the same chunk plan executed in-process), and
-bitwise-identical numerics versus the plain unsharded kernel launch.
+For every runtime kernel's samples (square and tall QR; pivoted LU on
+rows it must swap) across worker counts 1/2/4 and uneven chunk splits,
+the sharded runtime must produce bitwise-identical outputs and
+exactly-equal merged counter registries versus the serial path (the
+same chunk plan executed in-process), and bitwise-identical numerics
+versus the plain unsharded kernel launch.
 """
 
 import numpy as np
@@ -12,13 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.batched import diagonally_dominant_batch, random_batch
-from repro.kernels.device import (
-    per_block_cholesky,
-    per_block_lu,
-    per_block_lu_pivot,
-    per_block_qr,
-)
+from repro.kernels.device.registry import RUNTIME_KERNELS
 from repro.runtime import BatchRuntime, ProblemBatch, plan_chunks, problem_cost
 
 
@@ -28,47 +23,42 @@ def cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("runtime-cache")
 
 
-def _hpd_batch(batch, n, seed):
-    h = random_batch(batch, n, n, seed=seed)
-    return (h @ np.swapaxes(h, 1, 2) + n * np.eye(n)).astype(np.float32)
-
-
 @settings(
     max_examples=10,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    op=st.sampled_from(["lu", "qr", "cholesky", "lu_pivot"]),
+    op=st.sampled_from(sorted(RUNTIME_KERNELS)),
     n=st.integers(min_value=3, max_value=10),
+    extra=st.integers(min_value=0, max_value=4),
     batch=st.integers(min_value=2, max_value=36),
     chunk_problems=st.integers(min_value=1, max_value=9),
     workers=st.sampled_from([1, 2, 4]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 # Every op runs at least once, however the strategy samples.
-@example(op="lu", n=6, batch=13, chunk_problems=4, workers=2, seed=1)
-@example(op="qr", n=7, batch=11, chunk_problems=3, workers=2, seed=2)
-@example(op="cholesky", n=9, batch=17, chunk_problems=5, workers=2, seed=3)
-@example(op="lu_pivot", n=8, batch=14, chunk_problems=4, workers=4, seed=4)
-def test_sharded_equals_serial(cache_dir, op, n, batch, chunk_problems, workers, seed):
-    if op == "lu":
-        matrices = diagonally_dominant_batch(batch, n, seed=seed)
-        direct = per_block_lu(matrices)
-    elif op == "qr":
-        matrices = random_batch(batch, n, n, seed=seed)
-        direct = per_block_qr(matrices)
-    elif op == "cholesky":
-        matrices = _hpd_batch(batch, n, seed)
-        direct = per_block_cholesky(matrices)
-    else:
-        matrices = random_batch(batch, n, n, seed=seed)
-        direct = per_block_lu_pivot(matrices)
+@example(op="lu", n=6, extra=0, batch=13, chunk_problems=4, workers=2, seed=1)
+@example(op="qr", n=7, extra=0, batch=11, chunk_problems=3, workers=2, seed=2)
+@example(op="qr", n=5, extra=3, batch=9, chunk_problems=2, workers=2, seed=5)
+@example(op="cholesky", n=9, extra=0, batch=17, chunk_problems=5, workers=2, seed=3)
+@example(op="lu_pivot", n=8, extra=0, batch=14, chunk_problems=4, workers=4, seed=4)
+def test_sharded_equals_serial(
+    cache_dir, op, n, extra, batch, chunk_problems, workers, seed
+):
+    info = RUNTIME_KERNELS[op]
+    # Tall kernels take any m >= n; the square samplers ignore m.
+    m = n + extra if info.tall else n
+    matrices, _ = info.generate(m, n, seed, batch)
+    direct = info.call(matrices)
+    if op == "lu_pivot":
+        # The merged permutations below must include real row swaps.
+        assert (direct.extra != np.arange(n)).any()
 
     problems = ProblemBatch.single(op, matrices)
     # A budget of `chunk_problems` problems per chunk; rarely divides
     # `batch` evenly, so tail chunks exercise uneven splits.
-    chunk_cost = problem_cost(op, n, n) * chunk_problems
+    chunk_cost = problem_cost(op, m, n) * chunk_problems
     plan = plan_chunks(problems, chunk_cost)
 
     serial = BatchRuntime(
