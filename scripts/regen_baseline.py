@@ -17,8 +17,8 @@ With no arguments it refreshes ``ci_baseline.json`` (from
 ``benchmarks/specs/ci_smoke.toml``), ``paper_artefacts.json`` (the
 ``data`` payload of every paper artefact, as ``python -m repro export``
 writes it, keyed by experiment id) and ``launch_results.json`` (the
-exact :class:`~repro.gpu.simt.LaunchResult` of every per-block sketch
-and device cost program in :func:`launch_results`).  See
+exact :class:`~repro.gpu.simt.LaunchResult` of every ``PerBlockApproach``
+and device-kernel launch in :func:`launch_results`).  See
 CONTRIBUTING.md for when a refresh is appropriate.
 """
 
@@ -55,11 +55,12 @@ ARTEFACTS = BASELINES_DIR / "paper_artefacts.json"
 #: ``tests/gpu/test_launch_golden.py``).
 LAUNCH_RESULTS = BASELINES_DIR / "launch_results.json"
 
-#: Square sketch sizes: n = 1 and both sides of the 64/256-thread switch
-#: at 80 columns and of each register-spill edge (real: from 57 and 113
-#: columns; complex: from 41 and 81).
+#: Square ``PerBlockApproach`` sizes (records keyed ``sketch/...``): n = 1
+#: and both sides of the 64/256-thread switch at 80 columns and of each
+#: register-spill edge (real: from 57 and 113 columns; complex: from 41
+#: and 81).
 SKETCH_SIZES = (1, 8, 40, 41, 56, 57, 79, 80, 81, 112, 113, 200)
-#: Tall (m, n) sketch shapes, for QR and least squares.
+#: Tall (m, n) ``PerBlockApproach`` shapes, for QR and least squares.
 TALL_SHAPES = ((96, 32), (300, 90))
 #: Device cost-program sizes, n = 1 to 96 across the same edges.
 DEVICE_SIZES = (1, 2, 8, 9, 40, 41, 56, 57, 80, 96)
@@ -137,14 +138,31 @@ def _device_inputs(n: int, dtype):
     return a, b
 
 
-def launch_results() -> dict:
-    """Every golden launch: the ``PerBlockApproach`` sketches and the
-    device cost programs (run fresh, past the per-shape memo)."""
+def device_launches():
+    """``(key, launch)`` of every per-block device kernel at
+    :data:`DEVICE_SIZES`, in all four dtypes."""
     import numpy as np
 
+    from repro.kernels import device
+
+    per_block = sorted(
+        (info for info in device.KERNELS if info.family == "per_block"),
+        key=lambda info: info.op,
+    )
+    for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+        for n in DEVICE_SIZES:
+            a, b = _device_inputs(n, dtype)
+            for info in per_block:
+                key = f"device/{info.op}/{np.dtype(dtype).name}/{n}x{n}"
+                yield key, info.call(a, b).launch
+
+
+def launch_results() -> dict:
+    """Every golden launch: ``PerBlockApproach`` launches (records keyed
+    ``sketch/...``) and the device kernels' launches, their cost programs
+    run step by step under :func:`block_engine_factory`."""
     from repro.approaches import PerBlockApproach, Workload
     from repro.gpu.simt import BlockEngine
-    from repro.kernels import device
     from repro.kernels.device.base import block_engine_factory
 
     out = {}
@@ -161,17 +179,8 @@ def launch_results() -> dict:
                         f"{'fast' if fast_math else 'precise'}/{m}x{n}"
                     )
                     out[key] = launch_record(approach.launch(work))
-    per_block = sorted(
-        (info for info in device.KERNELS if info.family == "per_block"),
-        key=lambda info: info.op,
-    )
     with block_engine_factory(BlockEngine):
-        for dtype in (np.float32, np.float64, np.complex64, np.complex128):
-            for n in DEVICE_SIZES:
-                a, b = _device_inputs(n, dtype)
-                for info in per_block:
-                    key = f"device/{info.op}/{np.dtype(dtype).name}/{n}x{n}"
-                    out[key] = launch_record(info.call(a, b).launch)
+        out.update((key, launch_record(launch)) for key, launch in device_launches())
     return out
 
 

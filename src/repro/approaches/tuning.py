@@ -2,11 +2,13 @@
 
 The paper hardcodes the thread-count rule (64 threads below 80 columns,
 256 from there) and notes the constraint that "the number of threads must
-be a perfect square".  This tuner makes the choice empirical: it replays
-the kernel's charge sequence at every feasible square thread count and
-returns the fastest.  An ablation benchmark confirms the paper's rule is
-within a few percent of this tuned optimum across its size range --
-i.e. the hardcoded rule was a good one.
+be a perfect square".  This tuner makes the choice empirical: it runs the
+workload's device cost program (as :class:`~repro.approaches.PerBlockApproach`
+does, folded unless observed) with the block config pinned to every
+feasible square thread count and returns the fastest.  An ablation
+benchmark confirms the paper's rule is within a few percent of this
+tuned optimum across its size range -- i.e. the hardcoded rule was a
+good one.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import dataclasses
 import math
 from typing import Sequence
 
+from ..errors import LaunchConfigurationError, SharedMemoryOverflowError
 from ..gpu.device import QUADRO_6000, DeviceSpec
 from ..gpu.simt import LaunchResult
+from ..kernels.device.base import run_program
 from ..model.block_config import BlockConfig
+from ..model.flops import workload_flops
 from .base import Workload
-from .per_block import PerBlockApproach
+from .per_block import _program
 
 __all__ = ["TunedLaunch", "feasible_thread_counts", "tune_block_threads"]
 
@@ -65,17 +70,6 @@ def feasible_thread_counts(
     return out
 
 
-class _FixedConfigPerBlock(PerBlockApproach):
-    """Per-block replay pinned to an explicit thread count."""
-
-    def __init__(self, threads: int, device: DeviceSpec, fast_math: bool = True):
-        super().__init__(device=device, fast_math=fast_math)
-        self._threads = threads
-
-    def _config(self, m: int, n: int, complex_dtype: bool) -> BlockConfig:
-        return BlockConfig(m=m, n=n, threads=self._threads, complex_dtype=complex_dtype)
-
-
 def tune_block_threads(
     work: Workload,
     device: DeviceSpec = QUADRO_6000,
@@ -88,13 +82,18 @@ def tune_block_threads(
     )
     if not cands:
         raise ValueError(f"no feasible thread count for workload {work}")
+    program, m, n, dtype, params = _program(work)
+    flops = workload_flops(work.kind, work.m, work.n, work.complex_dtype)
     results: dict[int, tuple[LaunchResult, float]] = {}
     for threads in cands:
-        replay = _FixedConfigPerBlock(threads, device, fast_math)
+        config = BlockConfig(m, n, threads, complex_dtype=work.complex_dtype)
         try:
-            launch = replay.launch(work)
-        except Exception:
-            continue  # e.g. shared memory overflow at this shape
+            launch = run_program(
+                program, m, n, dtype, flops_per_problem=flops, params=params,
+                device=device, config=config, fast_math=fast_math,
+            )
+        except (LaunchConfigurationError, SharedMemoryOverflowError):
+            continue  # the block does not fit at this shape
         results[threads] = (launch, launch.throughput_gflops(work.batch))
     if not results:
         raise ValueError(f"every candidate shape failed for workload {work}")

@@ -10,15 +10,19 @@ costs; the clock just remembers where they went.
 Every total is a left fold in charge order (:func:`fold`), never the
 builtin ``sum()``: Python 3.12 made float ``sum()`` compensated, which
 would move cycle counts by an ulp between interpreter versions.
+:func:`fold_steps` is the same fold for a loop whose steps charged
+arrays, one value per step: :func:`numpy.cumsum` adds left to right too.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
-__all__ = ["CycleClock", "CycleBreakdown", "fold"]
+import numpy as np
+
+__all__ = ["CycleClock", "CycleBreakdown", "Tape", "fold", "fold_steps"]
 
 
 def fold(values: Iterable[float]) -> float:
@@ -27,6 +31,47 @@ def fold(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+class Tape:
+    """An accumulator that records each increment instead of adding it."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self) -> None:
+        self.parts: list = []
+
+    def __iadd__(self, value) -> "Tape":
+        self.parts.append(value)
+        return self
+
+
+def fold_steps(steps: int, tapes: Sequence[Tape], starts: list, firsts: list) -> list:
+    """Add what each tape recorded in one step to its starts, step by step.
+
+    A tape lists one step's increments to an accumulator, in charge
+    order: numbers, and arrays of one value per step.  ``firsts`` splits
+    the steps into segments, each starting at its first step; ``starts``
+    holds each tape's start for each segment, tape by tape.  A sum adds
+    the tape's increments of its segment's first step, then of the next
+    step, and so on, left to right with :func:`numpy.cumsum`: the bits
+    of ``+=`` in a loop.  Returns the sums in the order of ``starts``.
+    """
+    # Each tape's increments in the order the loop adds them (step by
+    # step, part by part), zero past the end of a shorter tape.
+    added = np.zeros((len(tapes), steps, max(len(tape.parts) for tape in tapes)))
+    for t, tape in enumerate(tapes):
+        for p, part in enumerate(tape.parts):
+            added[t, :, p] = part
+    if len(firsts) > 1:  # one row per segment
+        counts = np.diff(firsts + [steps])
+        laid = np.zeros((len(tapes), len(firsts), counts.max(), added.shape[2]))
+        segment = np.repeat(np.arange(len(firsts)), counts)
+        laid[:, segment, np.arange(steps) - np.repeat(firsts, counts)] = added
+        added = laid
+    added = added.reshape(len(starts), -1)
+    added[:, 0] += starts
+    return added.cumsum(axis=1)[:, -1].tolist()
 
 
 class CycleBreakdown(dict):
@@ -52,9 +97,9 @@ class CycleClock:
     ``totals`` holds the cycles per category in first-charge order;
     ``phases`` the same per phase label, each created by its phase's
     first charge; ``phase_name`` is the innermost active phase (``None``
-    outside any).  Hot callers -- the SIMT engine's charge methods -- add
-    straight into ``totals`` and ``phases[phase_name]``; :meth:`charge` is
-    the same two additions behind a negative-charge check.
+    outside any).  :meth:`charge` adds to both behind a negative-charge
+    check; the SIMT engine's charge methods check their operands and
+    call :meth:`add`.
     """
 
     def __init__(self) -> None:
@@ -74,6 +119,10 @@ class CycleClock:
         """Add ``cycles`` under ``category`` (and the current phase)."""
         if cycles < 0:
             raise ValueError(f"negative cycle charge: {cycles}")
+        self.add(cycles, category)
+
+    def add(self, cycles, category: str) -> None:
+        """:meth:`charge` for a caller that has checked ``cycles``."""
         self.totals[category] += cycles
         if self.phase_name is not None:
             self.phases[self.phase_name][category] += cycles

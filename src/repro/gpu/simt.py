@@ -31,20 +31,22 @@ Cost model (this repo's "measured"):
   Figure 8.  The analytic model of :mod:`repro.model` omits it; the gap
   between the two is part of the reproduction.
 
-Host cost: the per-block sketches (:mod:`repro.approaches.per_block`)
-make hundreds of thousands of charges per figure, so a charge is a few
-scalar operations.  The engine resolves its launch constants once at
+Host cost: the engine resolves its launch constants once at
 construction -- FMA, divide and square-root cycles at its precision,
-shared latency, the sync cost at its thread count, the spill fraction
--- and each charge adds its cycles straight into the clock's category
-totals and the innermost phase's totals, with the same operands and in
-the same order as one :meth:`CycleClock.charge` per category.  A tracer
-only adds its counters and events to that one body.
+shared latency, the sync cost at its thread count, the spill fraction.
+A cost program's column loop charges step by step only when its events
+are observed (a tracer, the sanitizer, a recording engine); otherwise
+it runs once inside :meth:`BlockEngine.fold`, its charges taking one
+array of values per step, and each accumulator adds those up with
+:func:`numpy.cumsum` in charge order.  So the fixed cost of a launch,
+not the cost of a charge, sets the host time of ``PerBlockApproach``
+sweeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from contextlib import contextmanager
 from typing import Any, Iterator, Literal, Optional
 
@@ -53,7 +55,7 @@ import numpy as np
 from ..analyze.sanitizer import SharedSanitizer, sanitize_enabled
 from ..observe.counters import CounterRegistry
 from ..observe.tracer import current_tracer
-from .clock import CycleBreakdown, CycleClock
+from .clock import CycleBreakdown, CycleClock, Tape, fold_steps
 from .device import DeviceSpec
 from .instructions import InstructionCosts, costs_for
 from .memory_system import MemorySystem
@@ -73,6 +75,35 @@ MEASUREMENT_OVERHEAD = 72
 #: local memory behind the L1; in a dependent chain each access exposes a
 #: large fraction of the L1 latency that register operands would hide.
 SPILL_ACCESS_CYCLES = 30
+
+#: The engine's event counts and their initial values (ints stay ints).
+_COUNTS = {
+    "_n_flop_groups": 0,
+    "_flop_thread_ops": 0.0,
+    "_spill_accesses": 0.0,
+    "_useful_flops": 0.0,
+    "_overhead_events": 0,
+    "_div_count": 0,
+    "_div_cycles": 0.0,
+    "_sqrt_count": 0,
+    "_sqrt_cycles": 0.0,
+    "_n_shared_groups": 0,
+    "_shared_transactions": 0.0,
+    "_shared_replays": 0.0,
+    "_shared_writes": 0.0,
+    "_n_sync": 0,
+    "_global_transfers": 0,
+    "_global_bytes": 0.0,
+    "_measurement_reads": 0,
+}
+
+
+def _negative(value) -> bool:
+    """Whether a charge operand is negative: a number, or in a
+    :meth:`BlockEngine.fold` an array with one number per step."""
+    if isinstance(value, np.ndarray):
+        return bool(value.min() < 0)
+    return value < 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,7 +207,6 @@ class BlockEngine:
         )
         self._shared_words = 0
         self._shared_arrays: list[SharedMemory] = []
-        self._useful_flops = 0.0
         # The tracer is bound at construction: engines are created one
         # per launch, inside any `tracing()` scope that should observe
         # them, and a per-charge thread-local lookup is too hot.
@@ -186,22 +216,9 @@ class BlockEngine:
         # attribution layer consumes (`self.counters`) is materialized
         # once from them.  The heavyweight event *tracing* stays opt-in
         # via repro.observe.tracing().
-        self._n_flop_groups = 0
-        self._flop_thread_ops = 0.0
-        self._spill_accesses = 0.0
-        self._overhead_events = 0
-        self._div_count = 0
-        self._div_cycles = 0.0
-        self._sqrt_count = 0
-        self._sqrt_cycles = 0.0
-        self._n_shared_groups = 0
-        self._shared_transactions = 0.0
-        self._shared_replays = 0.0
-        self._shared_writes = 0.0
-        self._n_sync = 0
-        self._global_transfers = 0
-        self._global_bytes = 0.0
-        self._measurement_reads = 0
+        self.__dict__.update(_COUNTS)
+        #: The per-step panels of the panel phases while a :meth:`fold` runs.
+        self._panels: Optional[list] = None
 
     # ------------------------------------------------------------------
     # Resources
@@ -240,14 +257,12 @@ class BlockEngine:
     # ------------------------------------------------------------------
     # Cost charges
     #
-    # Every charge method adds its cycles straight into the clock's
-    # category totals and, inside a phase, the phase's totals -- in the
-    # order, and with the operands, of one `CycleClock.charge` per
-    # category -- and counts its hardware events as plain scalar `+=` on
-    # the engine.  Only when a tracer is active does it also mirror the
-    # counts into the tracer's stage-scoped registry and emit a timeline
-    # event.  No registry, no extra call, no property read on the
-    # untraced path.
+    # Every charge method checks its operands, adds its cycles per
+    # category with `CycleClock.add`, and counts its hardware events as
+    # plain `+=` on the engine.  Only when a tracer is active does it also
+    # mirror the counts into the tracer's stage-scoped registry and emit
+    # a timeline event.  Inside a `fold` the operands may be arrays of
+    # one value per step, and every `+=` lands on a tape.
     # ------------------------------------------------------------------
     def charge_flops(
         self,
@@ -262,32 +277,22 @@ class BlockEngine:
         block (defaults to ``ops_per_thread * threads``; pass the real
         figure when threads are partially idle or an FMA does 2 FLOPs).
         """
-        if ops_per_thread < 0:
+        if _negative(ops_per_thread):
             raise ValueError("negative op count")
         tracer, clock = self._tracer, self.clock
         start = clock.now if tracer is not None else 0.0
-        totals, phase = clock.totals, clock.phase_name
-        phase = clock.phases[phase] if phase is not None else None
-        cycles = ops_per_thread * self._op_cycles
-        totals["compute"] += cycles
-        if phase is not None:
-            phase["compute"] += cycles
+        clock.add(ops_per_thread * self._op_cycles, "compute")
         self._n_flop_groups += 1
         self._flop_thread_ops += ops_per_thread
         spill_accesses = 0.0
         if count_spill and self._spill_fraction:
             spill_accesses = 2.0 * ops_per_thread * self._spill_fraction
-            cycles = spill_accesses * SPILL_ACCESS_CYCLES
-            totals["overhead"] += cycles
-            if phase is not None:
-                phase["overhead"] += cycles
+            clock.add(spill_accesses * SPILL_ACCESS_CYCLES, "overhead")
             self._spill_accesses += spill_accesses
         useful = ops_per_thread * self.threads if useful_flops is None else useful_flops
         self._useful_flops += useful
         if self.account_overhead:
-            totals["overhead"] += OVERHEAD_PER_EVENT
-            if phase is not None:
-                phase["overhead"] += OVERHEAD_PER_EVENT
+            clock.add(OVERHEAD_PER_EVENT, "overhead")
             self._overhead_events += 1
         if tracer is not None:
             c = tracer.counters
@@ -319,20 +324,14 @@ class BlockEngine:
     ) -> float:
         """Charge ``count`` SFU ops of ``cost`` cycles; return their cycles."""
         cycles = count * cost
-        if cycles < 0:
+        if _negative(cycles):
             raise ValueError(f"negative {op} count: {count}")
         tracer, clock = self._tracer, self.clock
         start = clock.now if tracer is not None else 0.0
-        totals, phase = clock.totals, clock.phase_name
-        phase = clock.phases[phase] if phase is not None else None
-        totals["compute"] += cycles
-        if phase is not None:
-            phase["compute"] += cycles
+        clock.add(cycles, "compute")
         self._useful_flops += useful_flops if useful_flops is not None else count
         if self.account_overhead:
-            totals["overhead"] += OVERHEAD_PER_EVENT
-            if phase is not None:
-                phase["overhead"] += OVERHEAD_PER_EVENT
+            clock.add(OVERHEAD_PER_EVENT, "overhead")
             self._overhead_events += 1
         if tracer is not None:
             c = tracer.counters
@@ -349,20 +348,17 @@ class BlockEngine:
         self, words_per_thread: float, degree: int = 1, writes: bool = False
     ) -> None:
         """Charge ``words_per_thread`` dependent shared accesses."""
-        if words_per_thread < 0:
+        if _negative(words_per_thread):
             raise ValueError("negative word count")
-        cycles = words_per_thread * (self._shared_latency + (degree - 1))
-        if cycles < 0:
+        latency = self._shared_latency + (degree - 1)
+        cycles = words_per_thread * latency
+        if latency < 0 and _negative(cycles):
             raise ValueError(f"bank-conflict degree {degree} gives negative cycles")
         if self.sanitizer is not None:
             self.sanitizer.note_traffic()
         tracer, clock = self._tracer, self.clock
         start = clock.now if tracer is not None else 0.0
-        totals, phase = clock.totals, clock.phase_name
-        phase = clock.phases[phase] if phase is not None else None
-        totals["shared"] += cycles
-        if phase is not None:
-            phase["shared"] += cycles
+        clock.add(cycles, "shared")
         self._n_shared_groups += 1
         self._shared_transactions += words_per_thread
         if degree > 1:
@@ -370,9 +366,7 @@ class BlockEngine:
         if writes:
             self._shared_writes += words_per_thread
         if self.account_overhead:
-            totals["overhead"] += OVERHEAD_PER_EVENT
-            if phase is not None:
-                phase["overhead"] += OVERHEAD_PER_EVENT
+            clock.add(OVERHEAD_PER_EVENT, "overhead")
             self._overhead_events += 1
         if tracer is not None:
             c = tracer.counters
@@ -400,9 +394,7 @@ class BlockEngine:
             self.sanitizer.on_sync()
         tracer, clock = self._tracer, self.clock
         start = clock.now if tracer is not None else 0.0
-        clock.totals["sync"] += self._sync_cycles
-        if clock.phase_name is not None:
-            clock.phases[clock.phase_name]["sync"] += self._sync_cycles
+        clock.add(self._sync_cycles, "sync")
         self._n_sync += 1
         if tracer is not None:
             tracer.counters.add("sync.count", 1)
@@ -452,14 +444,21 @@ class BlockEngine:
         return self.clock.phase_name or ""
 
     @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str, panel=None) -> Iterator[None]:
         """Label subsequent charges for per-phase breakdowns (Figure 8).
 
-        When a tracer is active the phase additionally becomes a trace
-        span and a counter-registry stage, so per-phase event totals ride
-        along with the per-phase cycle totals.  The label is also what
-        the shared-memory sanitizer stamps on hazards detected inside.
+        With a ``panel`` the label is ``panel{panel}:{name}``; inside a
+        :meth:`fold`, ``panel`` holds each step's panel.  When a tracer
+        is active the phase additionally becomes a trace span and a
+        counter-registry stage, so per-phase event totals ride along with
+        the per-phase cycle totals.  The label is also what the
+        shared-memory sanitizer stamps on hazards detected inside.
         """
+        if isinstance(panel, np.ndarray):  # one panel per step, in a fold
+            self._panels.append(panel)
+            name = (name,)
+        elif panel is not None:
+            name = f"panel{panel}:{name}"
         tracer, clock = self._tracer, self.clock
         start = clock.now if tracer is not None else 0.0
         with clock.phase(name):
@@ -470,6 +469,68 @@ class BlockEngine:
                     yield
         if tracer is not None:
             tracer.complete(f"phase:{name}", "phase", ts=start, dur=clock.now - start)
+
+    @contextmanager
+    def fold(self, steps: int) -> Iterator[None]:
+        """Charge a loop of ``steps`` steps whose body runs once.
+
+        The body passes each operand that changes from step to step as an
+        array of one value per step.  Inside, every accumulator -- the
+        clock's category and phase totals and the event counts -- is a
+        :class:`~repro.gpu.clock.Tape`; on exit :func:`fold_steps` adds
+        each tape to its accumulator step by step, in charge order: the
+        same bits as running the body once per step.  A phase opened with
+        per-step panels (one array for the whole body) sums panel by
+        panel into ``panel{p}:{name}`` phases, created in the order the
+        step-by-step run creates them.
+        """
+        clock, attrs = self.clock, vars(self)
+        totals, phases = clock.totals, clock.phases
+        counts = {name: attrs[name] for name in _COUNTS}
+        clock.totals = defaultdict(Tape)
+        clock.phases = defaultdict(lambda: defaultdict(Tape))
+        attrs.update({name: Tape() for name in _COUNTS})
+        self._panels = panels = []
+        try:
+            yield
+            taped = clock.totals, clock.phases, {n: attrs[n] for n in _COUNTS}
+        finally:
+            clock.totals, clock.phases, self._panels = totals, phases, None
+            attrs.update(counts)
+        firsts, labels = [0], [None]
+        if panels:
+            if any(other is not panels[0] for other in panels):
+                raise ValueError("the panel phases of a fold share one panel array")
+            panel = panels[0].tolist()
+            firsts += [j for j in range(1, steps) if panel[j] != panel[j - 1]]
+            labels = [panel[j] for j in firsts]
+        # Create the phases where stepping would: panel by panel, in body
+        # order.
+        for index, label in enumerate(labels):
+            for key in taped[1]:
+                if isinstance(key, tuple):
+                    phases[f"panel{label}:{key[0]}"]
+                elif index == 0:
+                    phases[key]
+        # Each tape with the accumulators its sums go to: one, or one per
+        # panel for a panel phase over more than one panel.
+        whole = [(tape, [totals], cat) for cat, tape in taped[0].items()]
+        whole += [(tape, [attrs], name) for name, tape in taped[2].items() if tape.parts]
+        split = []
+        for key, cats in taped[1].items():
+            if isinstance(key, str):
+                dests = [phases[key]]
+            else:
+                dests = [phases[f"panel{label}:{key[0]}"] for label in labels]
+            group = whole if len(dests) == 1 else split
+            group += [(tape, dests, cat) for cat, tape in cats.items()]
+        for group, segments in ((whole, [0]), (split, firsts)):
+            if group:
+                targets = [(dest, key) for _, dests, key in group for dest in dests]
+                starts = [dest.get(key, 0.0) for dest, key in targets]
+                sums = fold_steps(steps, [tape for tape, _, _ in group], starts, segments)
+                for (dest, key), start, value in zip(targets, starts, sums):
+                    dest[key] = type(start)(value)
 
     # ------------------------------------------------------------------
     # Results

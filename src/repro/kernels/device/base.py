@@ -14,13 +14,19 @@ A per-block device kernel has two halves:
 
 The paper's kernels are branch-free, so a block's cost depends on the
 problem shape alone -- :mod:`repro.analyze.costcheck` certifies exactly
-that for every registry kernel.  :func:`launch` therefore runs a cost
-program once per (program, shape, dtype, flags, block config, device)
-and hands every later launch of that shape a copy of the memoized
-:class:`~repro.gpu.simt.LaunchResult`.  The memo is bypassed whenever
-the engine's events are themselves observed -- under a tracer, with
-the sanitizer on, or with a :func:`block_engine_factory` override -- so
-traces, sanitizer reports and certifier tapes come from a fresh run.
+that for every registry kernel.  :func:`run_program` runs a cost program
+on a fresh block; :func:`launch` runs it once per (program, shape, dtype,
+flags, block config, device) and hands every later launch of that shape
+a copy of the memoized :class:`~repro.gpu.simt.LaunchResult`.
+
+Whether a launch is *observed* (:func:`observed`) -- under a tracer, with
+the sanitizer on, or with a :func:`block_engine_factory` override --
+decides how it runs.  An observed launch bypasses the memo and steps
+through each column loop (:meth:`BlockKernel.steps`) on the engine, so
+traces, sanitizer reports and certifier tapes see every event.  Any
+other launch runs each loop body once on arrays of per-step values and
+folds the charges in charge order (:meth:`~repro.gpu.simt.BlockEngine.fold`):
+the same bits at a few NumPy calls per loop.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ __all__ = [
     "DeviceKernelResult",
     "block_engine_factory",
     "launch",
+    "observed",
+    "run_program",
 ]
 
 #: Override for the engine class a :class:`BlockKernel` constructs.
@@ -70,6 +78,16 @@ def block_engine_factory(factory: Callable[..., BlockEngine]) -> Iterator[None]:
         yield
     finally:
         _ENGINE_FACTORY.reset(token)
+
+
+def observed() -> bool:
+    """Whether a block engine built now has its events observed: by a
+    tracer, the sanitizer or a :func:`block_engine_factory` override."""
+    return (
+        current_tracer() is not None
+        or sanitize_enabled()
+        or _ENGINE_FACTORY.get() is not None
+    )
 
 
 def as_problems(a) -> np.ndarray:
@@ -184,6 +202,7 @@ class BlockKernel:
         self.rows = np.arange(m)
         self.cols = np.arange(n)
 
+        self.observed = observed()
         engine_cls = _ENGINE_FACTORY.get() or BlockEngine
         self.engine = engine_cls(
             device,
@@ -208,9 +227,41 @@ class BlockKernel:
         word = 8 if self.complex else 4
         return self.m * self.n * word
 
-    def column_tile_rows(self, j: int) -> int:
-        """N: per-thread rows of the active column (Table VI's N)."""
-        return max(1, self.hreg - j // self.r)
+    def steps(self, count: int) -> Iterator:
+        """The steps ``0 .. count - 1`` of a cost program's column loop.
+
+        An observed launch (:func:`observed`) runs the loop body once per
+        step, on the engine as it is.  Any other launch runs the body once,
+        with ``j`` the array of every step, inside the engine's
+        :meth:`~repro.gpu.simt.BlockEngine.fold`.  The body is therefore
+        written array-safe: per-step operands come from ``j`` by array
+        arithmetic, and panel phases pass their panel to ``phase``.
+        """
+        if self.observed:
+            yield from range(count)
+        elif count > 0:
+            with self.engine.fold(count):
+                yield np.arange(count)
+
+    def column_tile_rows(self, j):
+        """N: per-thread rows of the active column (Table VI's N), for a
+        step or an array of steps.  N is a Python int when it is the same
+        at every step, as a traced charge records it and so that a fold
+        within one panel charges it as a number."""
+        rows = self.hreg - j // self.r
+        if not isinstance(rows, np.ndarray):
+            return max(1, rows)
+        if rows[0] == rows[-1]:
+            return max(1, int(rows[0]))
+        return np.maximum(1, rows)
+
+    def panel(self, j):
+        """The panel of step ``j``, or of each step in an array of steps
+        (a Python int when they share one)."""
+        panel = j // self.r
+        if isinstance(panel, np.ndarray) and panel[0] == panel[-1]:
+            return int(panel[0])
+        return panel
 
     def serial_reduction(self) -> None:
         """Charge the serial cross-thread reduction of per-thread
@@ -241,6 +292,27 @@ def _own_copy(cached: LaunchResult) -> LaunchResult:
     )
 
 
+def run_program(
+    program: Callable[..., None],
+    m: int,
+    n: int,
+    dtype,
+    *,
+    flops_per_problem: float,
+    params: Optional[dict] = None,
+    **options,
+) -> LaunchResult:
+    """Run cost program ``program`` on a fresh ``m x n`` block.
+
+    The block is a :class:`BlockKernel` built with ``options``; the
+    program is called as ``program(kernel, **params)``.  Returns the
+    engine's launch, crediting ``flops_per_problem`` FLOPs per block.
+    """
+    kernel = BlockKernel(m, n, dtype, **options)
+    program(kernel, **(params or {}))
+    return kernel.engine.result(flops_per_block=flops_per_problem)
+
+
 def launch(
     program: Callable[..., None],
     m: int,
@@ -258,37 +330,30 @@ def launch(
 ) -> DeviceKernelResult:
     """Pair a batch's numerics with the launch of cost program ``program``.
 
-    ``program(kernel, **params)`` charges one ``m x n`` block on a fresh
-    :class:`BlockKernel`.  Its :class:`~repro.gpu.simt.LaunchResult` is
-    memoized per (program, m, n, dtype, fast_math, account_overhead,
-    resolved config, device, flops, params); each caller gets its own
-    copy of the mutable fields.  A tracer, the sanitizer or an
-    engine-factory override makes the program run fresh, so every
-    observer sees the full event stream.  The launch metrics count every
-    call, with the real batch ``output.shape[0]``.
+    The :func:`run_program` launch is memoized per (program, m, n, dtype,
+    fast_math, account_overhead, resolved config, device, flops, params);
+    each caller gets its own copy of the mutable fields.  An observed
+    launch (:func:`observed`) runs the program fresh, so every observer
+    sees the full event stream.  The launch metrics count every call,
+    with the real batch ``output.shape[0]``.
     """
     dtype = np.dtype(dtype)
     cfg = config or block_config(m, n, complex_dtype=dtype.kind == "c")
-    observed = (
-        current_tracer() is not None
-        or sanitize_enabled()
-        or _ENGINE_FACTORY.get() is not None
-    )
+    fresh = observed()
     key = (
         program, m, n, dtype, fast_math, account_overhead, cfg, device,
         flops_per_problem, tuple(sorted(params.items())),
     )
-    result = None if observed else _LAUNCHES.get(key)
+    result = None if fresh else _LAUNCHES.get(key)
     if result is None:
-        kernel = BlockKernel(
-            m, n, dtype, device=device, config=cfg, fast_math=fast_math,
+        result = run_program(
+            program, m, n, dtype, flops_per_problem=flops_per_problem,
+            params=params, device=device, config=cfg, fast_math=fast_math,
             account_overhead=account_overhead,
         )
-        program(kernel, **params)
-        result = kernel.engine.result(flops_per_block=flops_per_problem)
-        if not observed:
+        if not fresh:
             _LAUNCHES[key] = result
-    if not observed:
+    if not fresh:
         result = _own_copy(result)
     batch = output.shape[0]
     counter_inc("repro_kernel_launches_total", m=m, n=n, threads=cfg.threads)

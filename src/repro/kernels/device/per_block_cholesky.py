@@ -36,10 +36,10 @@ def cholesky_flops(n: int) -> float:
 def _cholesky_costs(kernel: BlockKernel) -> None:
     eng = kernel.engine
     n, cost, credit = kernel.n, kernel.cost, kernel.credit
-    for j in range(n):
-        panel = j // kernel.r
+    for j in kernel.steps(n):
+        panel = kernel.panel(j)
         N = kernel.column_tile_rows(j)
-        with eng.phase(f"panel{panel}:Column Op"):
+        with eng.phase("Column Op", panel):
             # Diagonal thread: pivot = A[j][j] (real for HPD), rsqrt,
             # publish the inverse square root.
             kernel.sh_scalar.write(0, 0)
@@ -56,7 +56,7 @@ def _cholesky_costs(kernel: BlockKernel) -> None:
             eng.charge_shared(N, writes=True)
             eng.sync()
 
-        with eng.phase(f"panel{panel}:Hermitian Update"):
+        with eng.phase("Hermitian Update", panel):
             # A[j+1:, j+1:] -= l l^H, lower triangle only: each thread
             # reads l once and does ~N^2/2 FMAs.
             kernel.sh_col.read(kernel.rows)

@@ -30,9 +30,9 @@ def _gauss_jordan_costs(kernel: BlockKernel) -> None:
     n, n_aug = kernel.m, kernel.n  # n + nrhs columns
     cost, credit = kernel.cost, kernel.credit
     N = kernel.hreg  # rows never drop out in Gauss-Jordan
-    for j in range(n):
-        panel = j // kernel.r
-        with eng.phase(f"panel{panel}:Column Op"):
+    for j in kernel.steps(n):
+        panel = kernel.panel(j)
+        with eng.phase("Column Op", panel):
             # Listing 5: the diagonal thread publishes 1/A[j,j] (or flags
             # the problem as unsolvable on a zero pivot).
             kernel.sh_scalar.write(0, 0)
@@ -49,7 +49,7 @@ def _gauss_jordan_costs(kernel: BlockKernel) -> None:
             eng.charge_shared(2 * N, writes=True)
             eng.sync()
 
-        with eng.phase(f"panel{panel}:Rank-1 Update"):
+        with eng.phase("Rank-1 Update", panel):
             # Every row i != j: A[i, j:] -= A[i, j] * scaled_row[j:].
             kernel.sh_col.read(kernel.rows)
             kernel.sh_row.read(kernel.cols)

@@ -28,10 +28,11 @@ __all__ = ["per_block_lu"]
 def _lu_costs(kernel: BlockKernel) -> None:
     eng = kernel.engine
     n, cost, credit = kernel.n, kernel.cost, kernel.credit
-    for j in range(n - 1):
-        panel = j // kernel.r
+    for j in kernel.steps(n - 1):
+        panel = kernel.panel(j)
         N = kernel.column_tile_rows(j)
-        with eng.phase(f"panel{panel}:Column Op"):
+        below = n - 1 - j  # rows (and columns) past the pivot
+        with eng.phase("Column Op", panel):
             # Diagonal thread computes the scale factor (Listing 5):
             # one division, a shared write, and a synchronization.
             kernel.sh_scalar.write(0, 0)
@@ -44,19 +45,17 @@ def _lu_costs(kernel: BlockKernel) -> None:
             kernel.sh_scalar.read(0)
             kernel.sh_col.write(kernel.rows, 0)
             kernel.sh_row.write(kernel.cols, 0)
-            eng.charge_flops(N * cost, useful_flops=credit / 2 * (n - 1 - j))
+            eng.charge_flops(N * cost, useful_flops=credit / 2 * below)
             eng.charge_shared(2 * N, writes=True)
             eng.sync()
 
-        with eng.phase(f"panel{panel}:Rank-1 Update"):
+        with eng.phase("Rank-1 Update", panel):
             # Trailing update: read l & u from shared (2N beta), N^2
             # FMAs per thread, one synchronization (Listing 7).
             kernel.sh_col.read(kernel.rows)
             kernel.sh_row.read(kernel.cols)
             eng.charge_shared(2 * N)
-            eng.charge_flops(
-                N * N * cost, useful_flops=credit * (n - 1 - j) * (n - 1 - j)
-            )
+            eng.charge_flops(N * N * cost, useful_flops=credit * below * below)
             eng.sync()
     kernel.store()
 

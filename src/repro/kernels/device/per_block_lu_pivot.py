@@ -43,10 +43,10 @@ __all__ = ["per_block_lu_pivot"]
 def _lu_pivot_costs(kernel: BlockKernel) -> None:
     eng = kernel.engine
     n, cost, credit = kernel.n, kernel.cost, kernel.credit
-    for j in range(n - 1):
-        panel = j // kernel.r
+    for j in kernel.steps(n - 1):
+        panel = kernel.panel(j)
         N = kernel.column_tile_rows(j)
-        with eng.phase(f"panel{panel}:Pivot Search"):
+        with eng.phase("Pivot Search", panel):
             # |A[i][j]| partials per owning thread (N compares ~ N ops),
             # then the serial cross-thread max reduction with its argmax
             # bookkeeping (one extra op per step), published + sync.
@@ -56,7 +56,7 @@ def _lu_pivot_costs(kernel: BlockKernel) -> None:
             eng.charge_shared(2)
             eng.sync()
 
-        with eng.phase(f"panel{panel}:Row Swap"):
+        with eng.phase("Row Swap", panel):
             # Rows j and piv trade places through shared memory: each
             # owning thread writes its WREG elements of both rows and
             # reads the other's, with syncs separating the two halves.
@@ -65,7 +65,7 @@ def _lu_pivot_costs(kernel: BlockKernel) -> None:
             eng.charge_shared(2 * kernel.wreg)
             eng.sync()
 
-        with eng.phase(f"panel{panel}:Column Op"):
+        with eng.phase("Column Op", panel):
             eng.charge_div(1, useful_flops=0)
             eng.charge_shared(2)
             eng.sync()
@@ -73,7 +73,7 @@ def _lu_pivot_costs(kernel: BlockKernel) -> None:
             eng.charge_shared(2 * N, writes=True)
             eng.sync()
 
-        with eng.phase(f"panel{panel}:Rank-1 Update"):
+        with eng.phase("Rank-1 Update", panel):
             eng.charge_shared(2 * N)
             eng.charge_flops(
                 N * N * cost, useful_flops=credit * (n - 1 - j) * (n - 1 - j)

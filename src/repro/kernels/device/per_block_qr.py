@@ -33,16 +33,21 @@ def householder_costs(kernel: BlockKernel, ncols: int) -> None:
     appended past ``ncols`` accumulate ``Q^H b`` for free (Section III-D).
     """
     eng = kernel.engine
-    m, n, r = kernel.m, kernel.n, kernel.r
+    m, n = kernel.m, kernel.n
     cost, credit = kernel.cost, kernel.credit
     steps = ncols if m > ncols else ncols - 1  # no reflector for a 1-row tail
-    for j in range(steps):
-        panel = j // r
+    for j in kernel.steps(steps):
+        panel = kernel.panel(j)
         N = kernel.column_tile_rows(j)
-        with eng.phase(f"panel{panel}:Form HH Vector"):
+        # Per-thread ops on the column and on the trailing matrix, and
+        # the block's FLOP credit for each.
+        column_ops, update_ops = N * cost, N * N * cost
+        column_flops = credit / 2 * (m - j)
+        update_flops = credit * (m - j) * (n - 1 - j)
+        with eng.phase("Form HH Vector", panel):
             # Column norm: per-thread partials (N gamma) + serial
             # reduction across the sqrt(p) threads of the column.
-            eng.charge_flops(N * cost, useful_flops=credit / 2 * (m - j))
+            eng.charge_flops(column_ops, useful_flops=column_flops)
             kernel.serial_reduction()
 
             # Diagonal thread: beta, tau, 1/(alpha - beta) -- one sqrt,
@@ -54,16 +59,16 @@ def householder_costs(kernel: BlockKernel, ncols: int) -> None:
 
             # Scale the column into v (v0 = 1) and publish it.
             kernel.sh_col.write(kernel.rows, 0)
-            eng.charge_flops(N * cost, useful_flops=credit / 2 * (m - j))
+            eng.charge_flops(column_ops, useful_flops=column_flops)
             eng.charge_shared(N, writes=True)
             eng.sync()
 
-        with eng.phase(f"panel{panel}:Matrix-Vector Multiply"):
+        with eng.phase("Matrix-Vector Multiply", panel):
             # w = conj(tau) (v^H A[j:, j+1:]): read v (N beta), N^2 FMAs,
             # then the cross-thread reduction bracketed by two syncs.
             kernel.sh_col.read(kernel.rows)
             eng.charge_shared(N)
-            eng.charge_flops(N * N * cost, useful_flops=credit * (m - j) * (n - 1 - j))
+            eng.charge_flops(update_ops, useful_flops=update_flops)
             eng.sync()
             kernel.serial_reduction()
             # w must be published before the closing barrier: the rank-1
@@ -72,11 +77,11 @@ def householder_costs(kernel: BlockKernel, ncols: int) -> None:
             kernel.sh_row.write(kernel.cols, 0)
             eng.sync()
 
-        with eng.phase(f"panel{panel}:Rank-1 Update"):
+        with eng.phase("Rank-1 Update", panel):
             # A[j:, j+1:] -= v w: read w (N beta), N^2 FMAs, one sync.
             kernel.sh_row.read(kernel.cols)
             eng.charge_shared(N)
-            eng.charge_flops(N * N * cost, useful_flops=credit * (m - j) * (n - 1 - j))
+            eng.charge_flops(update_ops, useful_flops=update_flops)
             eng.sync()
 
 
@@ -84,7 +89,8 @@ def back_substitution_costs(kernel: BlockKernel, n: int) -> None:
     """Charge ``R x = Q^H b`` on the top ``n x n`` triangle: one divide
     by the diagonal plus a broadcast axpy per row, innermost rows first."""
     eng = kernel.engine
-    for i in range(n - 1, -1, -1):
+    for j in kernel.steps(n):
+        i = n - 1 - j
         N = kernel.column_tile_rows(i)
         eng.charge_div(1, useful_flops=kernel.credit / 2)
         eng.charge_shared(2)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from ..approaches.base import Workload
-from ..approaches.per_block import PerBlockApproach
 from ..gpu.device import QUADRO_6000, DeviceSpec
 from ..gpu.registers import RegisterAllocation
 from .block_config import block_config
@@ -72,6 +70,9 @@ def model_accuracy(
     params: ModelParameters | None = None,
 ) -> AccuracyReport:
     """Compare prediction vs engine measurement across a size sweep."""
+    # The approaches run the device kernels, which import this package.
+    from ..approaches import PerBlockApproach, Workload
+
     params = params or ModelParameters.paper_table_iv()
     replay = PerBlockApproach(device)
     points = []

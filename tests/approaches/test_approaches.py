@@ -78,38 +78,77 @@ class TestSupports:
             assert cpu.supports(Workload.square(kind, 32, 100))
 
 
-class TestPerBlockReplayConsistency:
-    """The charge replay must match the device kernels' cycle counts."""
+def _launch_fields(launch):
+    """Every field of a launch both FLOP conventions agree on."""
+    return (
+        launch.cycles,
+        list(launch.breakdown.items()),
+        list(launch.phase_totals.items()),
+        launch.counters.snapshot(),
+        launch.occupancy,
+    )
 
-    @pytest.mark.parametrize("n", [16, 32, 56])
-    def test_qr_replay_matches_device_kernel(self, n):
-        from repro.kernels.batched import random_batch
+
+class TestPerBlockReplayConsistency:
+    """A ``PerBlockApproach`` launch is its device kernel's launch.
+
+    The approach folds the cost program's loops; the device kernel runs
+    them step by step here.  Everything but ``flops_per_block`` (each side
+    credits its own FLOP convention) must match exactly.
+    """
+
+    @staticmethod
+    def check(kind, m, n, complex_dtype, kernel):
+        from repro.gpu.simt import BlockEngine
+        from repro.kernels.device.base import block_engine_factory
+
+        dtype = np.complex64 if complex_dtype else np.float32
+        rng = np.random.default_rng(m * n)
+        a = (rng.standard_normal((1, m, n)) + m * np.eye(m, n)).astype(dtype)
+        b = rng.standard_normal((1, m)).astype(dtype)
+        with block_engine_factory(BlockEngine):
+            stepped = kernel(a, b).launch
+        work = Workload(kind, m, n, 1, complex_dtype=complex_dtype)
+        folded = PerBlockApproach().launch(work)
+        assert _launch_fields(folded) == _launch_fields(stepped)
+
+    @pytest.mark.parametrize(
+        "m, n, complex_dtype",
+        [(16, 16, False), (56, 56, True), (96, 32, False), (240, 66, True)],
+    )
+    def test_qr_replay_matches_device_kernel(self, m, n, complex_dtype):
         from repro.kernels.device import per_block_qr
 
-        a = random_batch(2, n, n, dtype=np.float32, seed=n)
-        device_cycles = per_block_qr(a).cycles
-        replay = PerBlockApproach().launch(Workload.square("qr", n, 1))
-        assert replay.cycles == pytest.approx(device_cycles, rel=0.02)
+        self.check("qr", m, n, complex_dtype, lambda a, b: per_block_qr(a))
 
-    @pytest.mark.parametrize("n", [16, 32, 56])
-    def test_lu_replay_matches_device_kernel(self, n):
-        from repro.kernels.batched import diagonally_dominant_batch
+    @pytest.mark.parametrize("n, complex_dtype", [(32, False), (120, True)])
+    def test_lu_replay_matches_device_kernel(self, n, complex_dtype):
         from repro.kernels.device import per_block_lu
 
-        a = diagonally_dominant_batch(2, n, dtype=np.float32, seed=n)
-        device_cycles = per_block_lu(a).cycles
-        replay = PerBlockApproach().launch(Workload.square("lu", n, 1))
-        assert replay.cycles == pytest.approx(device_cycles, rel=0.02)
+        self.check("lu", n, n, complex_dtype, lambda a, b: per_block_lu(a))
 
-    def test_gj_replay_matches_device_kernel(self):
-        from repro.kernels.batched import diagonally_dominant_batch, rhs_batch
+    @pytest.mark.parametrize("n, complex_dtype", [(32, False), (81, True)])
+    def test_gj_replay_matches_device_kernel(self, n, complex_dtype):
         from repro.kernels.device import per_block_gauss_jordan
 
-        a = diagonally_dominant_batch(2, 32, dtype=np.float32)
-        b = rhs_batch(2, 32, dtype=np.float32)[:, :, 0]
-        device_cycles = per_block_gauss_jordan(a, b).cycles
-        replay = PerBlockApproach().launch(Workload.square("gauss_jordan", 32, 1))
-        assert replay.cycles == pytest.approx(device_cycles, rel=0.05)
+        self.check("gauss_jordan", n, n, complex_dtype, per_block_gauss_jordan)
+
+    @pytest.mark.parametrize(
+        "m, n, complex_dtype",
+        [
+            (24, 24, False),
+            (145, 145, False),  # moved off the old sketch
+            (96, 32, False),  # moved off the old sketch
+            (80, 16, True),
+        ],
+    )
+    def test_least_squares_replay_matches_device_kernel(self, m, n, complex_dtype):
+        """Square systems price as ``per_block_qr_solve``, tall ones as
+        ``per_block_least_squares``."""
+        from repro.kernels.device import per_block_least_squares, per_block_qr_solve
+
+        kernel = per_block_qr_solve if m == n else per_block_least_squares
+        self.check("least_squares", m, n, complex_dtype, kernel)
 
 
 class TestFigure10DesignSpace:

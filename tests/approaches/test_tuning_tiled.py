@@ -51,6 +51,17 @@ class TestTuner:
         with pytest.raises(ValueError):
             tune_block_threads(Workload.square("qr", 56, 100), candidates=[])
 
+    def test_cost_program_errors_propagate(self, monkeypatch):
+        """Only "the block does not fit" skips a candidate."""
+        from repro.approaches import per_block
+
+        def broken(kernel):
+            raise TypeError("broken cost program")
+
+        monkeypatch.setattr(per_block, "_qr_costs", broken)
+        with pytest.raises(TypeError, match="broken cost program"):
+            tune_block_threads(Workload.square("qr", 56, 100))
+
 
 class TestTiledApproach:
     def test_supports_tall_qr_only(self):

@@ -5,9 +5,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.gpu import CycleBreakdown, CycleClock
+from repro.gpu.clock import fold
 from repro.reporting import run_experiment
 from repro.reporting.export import _jsonable
 
@@ -151,6 +153,22 @@ class TestLeftFold:
         assert clk.now == 0.6000000000000001
         assert clk.breakdown().total == 0.6000000000000001
         assert clk.phase_totals() == {"p": 0.6000000000000001}
+
+    def test_numpy_cumsum_is_a_left_fold(self):
+        """``fold_steps`` sums with ``np.cumsum``, which must add left to
+        right like ``+=`` -- as a 1-D array and down the columns of a 2-D
+        one -- while pairwise ``np.sum`` tells the two orders apart."""
+        rng = np.random.default_rng(2026)
+        pairwise_differs = False
+        for _ in range(2000):
+            size = int(rng.integers(1, 5001))
+            x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+            expected = [fold(x.tolist()).hex(), fold(x[::-1].tolist()).hex()]
+            assert float(np.cumsum(x)[-1]).hex() == expected[0]
+            columns = np.cumsum(np.column_stack([x, x[::-1]]), axis=0)[-1]
+            assert [float(total).hex() for total in columns] == expected
+            pairwise_differs |= float(np.sum(x)).hex() != expected[0]
+        assert pairwise_differs
 
     @pytest.mark.parametrize("eid", ["fig9", "fig10", "fig11", "fig12"])
     def test_artefacts_hold_under_compensated_sum(self, monkeypatch, eid):

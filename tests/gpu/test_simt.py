@@ -152,6 +152,28 @@ class TestRejections:
         assert eng.clock.now == 0.0
         assert eng.result().phase_totals == {}
 
+    @pytest.mark.parametrize(
+        "charge",
+        [
+            lambda eng, step: eng.charge_flops(step - 1),
+            lambda eng, step: eng.charge_shared(step - 1),
+        ],
+        ids=["flops", "shared"],
+    )
+    def test_negative_step_in_a_fold_rejected(self, charge):
+        """One negative step fails the fold before it touches the clock."""
+        eng = make_engine(account_overhead=True)
+        eng.charge_flops(1)
+        before = eng.result()
+        with pytest.raises(ValueError):
+            with eng.fold(3):
+                with eng.phase("p", np.arange(3)):
+                    charge(eng, np.arange(3))
+        after = eng.result()
+        assert after.cycles == before.cycles
+        assert after.phase_totals == before.phase_totals
+        assert after.counters.snapshot() == before.counters.snapshot()
+
 
 class TestLaunchResult:
     def test_phase_totals_recorded(self):
