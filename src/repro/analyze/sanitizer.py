@@ -32,12 +32,12 @@ only cost on the hot path is one ``is None`` check per access.
 from __future__ import annotations
 
 import dataclasses
-import os
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..observe.log import env_switch
 from ..observe.metrics import counter_inc
 from ..observe.tracer import add_counter, instant
 
@@ -74,7 +74,7 @@ def sanitize_enabled() -> bool:
     """
     if _FORCED is not None:
         return _FORCED
-    return os.environ.get("REPRO_SANITIZE", "").lower() in ("1", "true", "on", "yes")
+    return env_switch("REPRO_SANITIZE", default=False)
 
 
 @contextmanager

@@ -15,9 +15,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from ..observe.log import log_event
-from ..observe.metrics import counter_inc
-from ..observe.tracer import current_tracer
+from ..observe.events import emit
+from ..observe.tracer import current_tracer, span
 from .base import Approach, Workload
 from .baselines import CpuLapackApproach, CublasStreamsApproach, HybridBlockedApproach
 from .per_block import PerBlockApproach
@@ -85,36 +84,19 @@ def rank_approaches(
     """
     tracer = current_tracer()
     candidates = approaches if approaches is not None else default_approaches()
+    workload = dict(op=work.kind, m=work.m, n=work.n, batch=work.batch)
     if cache is not None:
         entry = cache.lookup(work)
         if entry is not None:
             ranked = _from_cache(entry, candidates)
             if ranked is not None:
-                counter_inc(
-                    "repro_dispatch_rankings_total",
-                    op=work.kind,
-                    outcome="cache-hit",
-                )
-                counter_inc(
-                    "repro_dispatch_winner_total",
-                    op=work.kind,
-                    approach=ranked[0].name,
-                )
                 if tracer is not None:
                     tracer.counters.add("dispatch.cache_hits")
-                    tracer.instant(
-                        "dispatch.cache_hit", "dispatch", kind=work.kind,
-                        m=work.m, n=work.n, batch=work.batch,
-                        winner=ranked[0].name,
-                    )
-                log_event(
-                    "dispatch.rank",
-                    kind=work.kind,
-                    m=work.m,
-                    n=work.n,
-                    batch=work.batch,
-                    winner=ranked[0].name,
+                emit(
+                    "dispatch.cache_hit",
+                    approach=ranked[0].name,
                     outcome="cache-hit",
+                    **workload,
                 )
                 return ranked
     ranked = [
@@ -125,39 +107,26 @@ def rank_approaches(
     if not ranked:
         raise ValueError(f"no approach supports workload {work}")
     ranked.sort(key=lambda r: (-r.gflops, r.name))
-    counter_inc(
-        "repro_dispatch_rankings_total", op=work.kind, outcome="computed"
-    )
-    counter_inc(
-        "repro_dispatch_winner_total", op=work.kind, approach=ranked[0].name
-    )
-    if tracer is not None:
-        with tracer.span(
-            "dispatch.rank", "dispatch", kind=work.kind, m=work.m, n=work.n,
-            batch=work.batch, complex=work.complex_dtype,
-        ):
+    with span(
+        "dispatch.rank", "dispatch", kind=work.kind, m=work.m, n=work.n,
+        batch=work.batch, complex=work.complex_dtype,
+    ):
+        if tracer is not None:
             for position, entry in enumerate(ranked):
                 tracer.instant(
                     "dispatch.candidate", "dispatch", approach=entry.name,
                     gflops=entry.gflops, rank=position,
                 )
             tracer.counters.add("dispatch.rankings")
-            tracer.instant(
-                "dispatch.winner", "dispatch", approach=ranked[0].name,
-                gflops=ranked[0].gflops,
-            )
+        emit(
+            "dispatch.winner",
+            approach=ranked[0].name,
+            gflops=ranked[0].gflops,
+            outcome="computed",
+            **workload,
+        )
     if cache is not None:
         cache.store(work, [(r.name, r.gflops) for r in ranked])
-    log_event(
-        "dispatch.rank",
-        kind=work.kind,
-        m=work.m,
-        n=work.n,
-        batch=work.batch,
-        winner=ranked[0].name,
-        gflops=ranked[0].gflops,
-        outcome="computed",
-    )
     return ranked
 
 

@@ -45,7 +45,7 @@ from typing import Callable, List, Optional
 
 from ..observe.export import atomic_write_text
 from ..observe.history import RunHistory
-from ..observe.log import log_event
+from ..observe.events import emit
 from .gate import MATRIX_SCHEMA
 from .runner import CellRecord, SweepContext, run_cell
 from .spec import Cell, ExperimentSpec, expand_cells, plan_fingerprint
@@ -283,7 +283,7 @@ def run_spec(
             },
         )
         executed += 1
-        log_event(
+        emit(
             "experiment.cell",
             level="warning" if record.status == "failed" else "info",
             experiment=spec.name,
@@ -336,7 +336,7 @@ def run_spec(
         history_store.append(
             _history_record(spec, fingerprint, records, wall_s, workers)
         )
-    log_event(
+    emit(
         "experiment.sweep",
         experiment=spec.name,
         fingerprint=fingerprint,

@@ -14,9 +14,8 @@ import time
 from ..gpu.device import DeviceSpec, QUADRO_6000
 from ..gpu.instructions import costs_for
 from ..model.parameters import ModelParameters
-from ..observe.log import log_event
-from ..observe.metrics import counter_inc
-from ..observe.tracer import current_tracer, span
+from ..observe.events import emit
+from ..observe.tracer import span
 from .global_bandwidth import measure_global_bandwidth
 from .global_latency import plateau_latency
 from .shared_bandwidth import measure_shared_bandwidth
@@ -56,12 +55,7 @@ def calibrate(device: DeviceSpec = QUADRO_6000, cache=None) -> ModelParameters:
             cache = CalibrationCache()
         cached = cache.load(device)
         if cached is not None:
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.instant(
-                    "calibrate.cache_hit", "microbench", device=device.name
-                )
-            log_event("calibrate.cache_hit", device=device.name)
+            emit("calibrate.cache_hit", device=device.name)
             return cached
         params = _calibrate(device)
         cache.store(device, params)
@@ -71,7 +65,6 @@ def calibrate(device: DeviceSpec = QUADRO_6000, cache=None) -> ModelParameters:
 
 def _calibrate(device: DeviceSpec) -> ModelParameters:
     """The uncached Section-II sweep."""
-    counter_inc("repro_calibrations_total", device=device.name)
     sweep_start = time.perf_counter()
     with span("calibrate", "microbench", device=device.name):
         with span("calibrate.shared_bandwidth", "microbench"):
@@ -95,20 +88,15 @@ def _calibrate(device: DeviceSpec) -> ModelParameters:
             alpha_sync=sync,
             gamma=gamma,
         )
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.instant(
-                "calibrate.parameters", "microbench",
-                alpha_glb=params.alpha_glb,
-                global_bandwidth=params.global_bandwidth,
-                alpha_sh=params.alpha_sh,
-                shared_bandwidth=params.shared_bandwidth,
-                alpha_sync=params.alpha_sync,
-                gamma=params.gamma,
-            )
-    log_event(
-        "calibrate.sweep",
-        device=device.name,
-        wall_s=time.perf_counter() - sweep_start,
-    )
+        emit(
+            "calibrate.sweep",
+            device=device.name,
+            wall_s=time.perf_counter() - sweep_start,
+            alpha_glb=params.alpha_glb,
+            global_bandwidth=params.global_bandwidth,
+            alpha_sh=params.alpha_sh,
+            shared_bandwidth=params.shared_bandwidth,
+            alpha_sync=params.alpha_sync,
+            gamma=params.gamma,
+        )
     return params

@@ -43,6 +43,9 @@ On top of the per-launch layers sits the fleet telemetry added in PR 3:
   ``python -m repro.observe.alerts``; plus a ``REPRO_LOG``-gated JSONL
   logger whose records carry the profiler's span ids, so an alert, a
   log line, and a flamegraph span join on one id.
+* **one call per host fact** (:mod:`repro.observe.events`) --
+  :func:`emit` sends each host fact to the trace, the log and the
+  metrics through one declarative event table.
 
 See ``docs/observability.md`` for a walkthrough.
 """
@@ -133,14 +136,15 @@ __all__ = [
     "profiling_enabled",
     "set_profiling_enabled",
     "write_flamegraph",
+    "emit",
     # lazily loaded: structured logging + SLO/alert engine
     "LOG_SCHEMA",
     "StructuredLogger",
     "current_span",
     "default_log_path",
     "default_logger",
+    "env_switch",
     "log_enabled",
-    "log_event",
     "read_log",
     "set_default_logger",
     "set_log_enabled",
@@ -217,13 +221,14 @@ _LAZY = {
     "profiling_enabled": "profile",
     "set_profiling_enabled": "profile",
     "write_flamegraph": "export",
+    "emit": "events",
     "LOG_SCHEMA": "log",
     "StructuredLogger": "log",
     "current_span": "log",
     "default_log_path": "log",
     "default_logger": "log",
+    "env_switch": "log",
     "log_enabled": "log",
-    "log_event": "log",
     "read_log": "log",
     "set_default_logger": "log",
     "set_log_enabled": "log",

@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..reporting.tables import format_table
-from . import log as _log
+from .events import emit
 from .history import RunHistory, default_history_path, gauge_direction, record_gauges
 from .metrics import (
     MetricsRegistry,
@@ -756,9 +756,9 @@ def _load_inputs(args):
 
 
 def _emit_events(evaluation: Evaluation) -> None:
-    """Mirror transitions into the structured log (when enabled)."""
+    """Emit each transition as an ``alert.*`` event."""
     for event in evaluation.events:
-        _log.log_event(
+        emit(
             f"alert.{event.transition}",
             level=_SEVERITY_LEVEL.get(event.severity, "warning"),
             span_id=event.span_id,

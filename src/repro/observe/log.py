@@ -7,15 +7,17 @@ Every record is one JSONL line with a stable schema::
      "fields": {"chunks": 4, "mode": "process", ...}}
 
 Logging is **off by default** and gated the same way as the metrics and
-trace layers: instrumented call-sites go through :func:`log_event`, which
-costs a single flag check when disabled.  The ``REPRO_LOG`` environment
-variable turns it on -- ``1``/``true``/``on`` write to
-``<cache dir>/events.jsonl``, any other non-empty value is taken as the
-sink path.  Worker processes inherit the environment, so a sharded
-launch's workers append to the same sink; lines are single ``os.write``
-calls on an ``O_APPEND`` descriptor, so concurrent writers interleave
-whole records and a killed process never leaves a torn line (the same
-contract as :class:`~repro.observe.history.RunHistory`).
+trace layers: instrumented call-sites go through
+:func:`repro.observe.events.emit`, which costs a single flag check here
+when disabled.  The ``REPRO_LOG`` environment variable turns it on (see
+:func:`env_switch`): ``1``/``true``/``yes``/``on`` write to
+``<cache dir>/events.jsonl``, and any other non-empty value that is not
+an off word is taken as the sink path.  Worker processes inherit the
+environment, so a sharded launch's workers append to the same sink;
+lines are single ``os.write`` calls on an ``O_APPEND`` descriptor, so
+concurrent writers interleave whole records and a killed process never
+leaves a torn line (the same contract as
+:class:`~repro.observe.history.RunHistory`).
 
 The correlation story: the PR 6 profiler stamps every batch launch with
 deterministic span ids (``batch:N``, ``batch:N/chunk:i``, ...).  The
@@ -44,8 +46,8 @@ __all__ = [
     "current_span",
     "default_log_path",
     "default_logger",
+    "env_switch",
     "log_enabled",
-    "log_event",
     "read_log",
     "set_default_logger",
     "set_log_enabled",
@@ -58,8 +60,25 @@ LOG_SCHEMA = 1
 #: Severity ladder, least to most urgent.
 LEVELS = ("debug", "info", "warning", "error")
 
-_FALSEY = {"", "0", "false", "no", "off"}
+_FALSEY = {"0", "false", "no", "off"}
 _TRUTHY = {"1", "true", "yes", "on"}
+
+
+def env_switch(name: str, default: bool) -> bool:
+    """The on/off value of environment variable ``name``.
+
+    The one parser behind ``REPRO_LOG``, ``REPRO_METRICS``,
+    ``REPRO_PROFILE`` and ``REPRO_SANITIZE``: surrounding whitespace and
+    case are ignored, ``1``/``true``/``yes``/``on`` mean on and
+    ``0``/``false``/``no``/``off`` mean off.  An unset, empty or
+    unrecognized value keeps ``default``.
+    """
+    raw = os.environ.get(name, "").strip().lower()
+    if raw in _TRUTHY:
+        return True
+    if raw in _FALSEY:
+        return False
+    return default
 
 
 def default_log_path() -> Path:
@@ -69,14 +88,18 @@ def default_log_path() -> Path:
     return cache_dir() / "events.jsonl"
 
 
+def _env_enabled() -> bool:
+    """Whether ``REPRO_LOG`` asks for logging: an on word or a path."""
+    path = os.environ.get("REPRO_LOG", "").strip()
+    return env_switch("REPRO_LOG", default=bool(path))
+
+
 def _env_sink() -> Optional[Path]:
     """The sink ``REPRO_LOG`` asks for, or ``None`` when disabled."""
-    raw = os.environ.get("REPRO_LOG", "").strip()
-    if raw.lower() in _FALSEY:
+    if not _env_enabled():
         return None
-    if raw.lower() in _TRUTHY:
-        return default_log_path()
-    return Path(raw)
+    raw = os.environ["REPRO_LOG"].strip()
+    return default_log_path() if raw.lower() in _TRUTHY else Path(raw)
 
 
 def _jsonable(value: Any) -> Any:
@@ -214,12 +237,12 @@ def span_context(
 # ----------------------------------------------------------------------
 # Only the flag is read at import: the sink path resolves through
 # ``runtime.cache``, which imports this module, so it waits for a write.
-_enabled: bool = os.environ.get("REPRO_LOG", "").strip().lower() not in _FALSEY
+_enabled: bool = _env_enabled()
 _default: Optional[StructuredLogger] = None
 
 
 def log_enabled() -> bool:
-    """Whether :func:`log_event` records anything right now."""
+    """Whether :func:`~repro.observe.events.emit` logs anything right now."""
     return _enabled
 
 
@@ -248,22 +271,3 @@ def set_default_logger(
     _default = logger
     return previous
 
-
-def log_event(
-    event: str,
-    level: str = "info",
-    span_id: Optional[str] = None,
-    parent_id: Optional[str] = None,
-    **fields: Any,
-) -> None:
-    """Record ``event`` on the default sink; a no-op when disabled.
-
-    This is the call instrumented paths use: disabled, it costs one
-    module-global check (the same contract as
-    :func:`~repro.observe.metrics.counter_inc`).
-    """
-    if not _enabled:
-        return
-    default_logger().log(
-        event, level=level, span_id=span_id, parent_id=parent_id, **fields
-    )

@@ -30,10 +30,11 @@ import bisect
 import dataclasses
 import json
 import math
-import os
 import re
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple
+
+from .log import env_switch
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -410,7 +411,7 @@ class MetricsRegistry:
 # Process-global default registry
 # ----------------------------------------------------------------------
 _default = MetricsRegistry()
-_enabled = os.environ.get("REPRO_METRICS", "1").lower() not in ("0", "false", "off")
+_enabled = env_switch("REPRO_METRICS", default=True)
 
 
 def default_registry() -> MetricsRegistry:

@@ -37,10 +37,10 @@ from a trace file alone.
 from __future__ import annotations
 
 import dataclasses
-import os
 import statistics
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .log import env_switch
 from .tracer import Event, Tracer
 
 __all__ = [
@@ -69,7 +69,7 @@ PROFILE_CATEGORY = "profile"
 #: slack, idle gaps) so the phases sum to the batch wall exactly.
 PHASES = ("plan", "serialize", "queue", "compute", "transfer", "merge", "other")
 
-_enabled = os.environ.get("REPRO_PROFILE", "1").lower() not in ("0", "false", "off")
+_enabled = env_switch("REPRO_PROFILE", default=True)
 
 
 def profiling_enabled() -> bool:

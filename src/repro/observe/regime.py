@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
+from ..gpu.clock import fold
 from .attribution import AttributionReport
 
 __all__ = [
@@ -92,7 +93,7 @@ def classify_regime(report: AttributionReport) -> RegimeClassification:
         cycles = max(term.measured_cycles, 0.0)
         totals[TERM_REGIME.get(term.term, "latency-bound")] += cycles
         per_term[term.term] = cycles
-    measured = sum(totals.values())
+    measured = fold(totals.values())
     if measured > 0:
         shares = {regime: totals[regime] / measured for regime in REGIMES}
         winner = max(REGIMES, key=lambda regime: shares[regime])

@@ -254,24 +254,12 @@ class Tracer:
 
         Events are tagged with ``tags`` (e.g. ``shard=3``) so merged
         timelines remain attributable.  ``dropped`` carries the source
-        ring buffer's overflow count into :attr:`dropped` -- without it a
-        worker that overflowed would fold into a launch trace that looks
-        complete -- and, when fleet metrics are enabled, into the
-        ``repro_trace_dropped_total`` counter, so silent trace loss is a
-        fleet signal (and a default alert rule) rather than a per-run
-        attribute.  Events are replayed in the order given; returns the
-        number ingested.
+        ring buffer's overflow count into :attr:`dropped`, so a worker
+        that overflowed does not fold into a launch trace that looks
+        complete; the runtime reports the launch's total once, as the
+        ``runtime.trace_dropped`` event.  Events are replayed in the
+        order given; returns the number ingested.
         """
-        if dropped:
-            # Deferred import: metrics pulls in the cache layer, and the
-            # tracer must stay importable from everywhere.
-            from . import metrics as _metrics
-
-            _metrics.counter_inc(
-                "repro_trace_dropped_total",
-                int(dropped),
-                help="Trace events lost to source ring-buffer overflow.",
-            )
         self.dropped += int(dropped)
         base = clock.offset_from(self.origin) if clock is not None else self._ts
         count = 0

@@ -29,13 +29,13 @@ import concurrent.futures
 import dataclasses
 import time
 import zlib
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..observe import log as _log
+from ..observe.events import emit
 from .policy import RetryPolicy
 
 __all__ = [
@@ -67,48 +67,40 @@ class ChunkFailedError(RuntimeError):
 
 @dataclasses.dataclass
 class SuperviseStats:
-    """Recovery events of one launch, for telemetry folding.
+    """Recovery events of one launch.
 
+    Each noted event is emitted once, when it happens, as
+    ``resilience.<kind>`` (:func:`~repro.observe.events.emit`).
     ``scope`` is the launch's profile scope (``batch:N``) when the run
-    is profiled; every noted event is then also written to the
-    structured log (when enabled) stamped with the chunk's span id, so a
-    retry in the log joins its ``attempt:k`` span in the flamegraph.
+    is profiled; the record is then stamped with the chunk's span id,
+    so a retry in the log joins its ``attempt:k`` span in the
+    flamegraph.
     """
 
-    #: ``(kind, args)`` in occurrence order; kinds: ``retry`` /
-    #: ``timeout`` / ``inline`` / ``rebuild``.
-    events: List[Tuple[str, dict]] = dataclasses.field(default_factory=list)
-    timeouts: int = 0
-    inline_runs: int = 0
-    rebuilds: int = 0
+    #: Events noted so far, by kind: ``retry`` / ``timeout`` /
+    #: ``inline`` / ``rebuild``.
+    counts: Counter = dataclasses.field(default_factory=Counter)
     scope: Optional[str] = None
 
     def note(self, kind: str, **args) -> None:
-        self.events.append((kind, args))
-        if kind == "timeout":
-            self.timeouts += 1
-        elif kind == "inline":
-            self.inline_runs += 1
-        elif kind == "rebuild":
-            self.rebuilds += 1
-        if _log.log_enabled():
-            chunk = args.get("chunk")
-            span_id = (
-                f"{self.scope}/chunk:{chunk}"
-                if self.scope is not None and chunk is not None
-                else self.scope
-            )
-            _log.log_event(
-                f"resilience.{kind}",
-                level="warning",
-                span_id=span_id,
-                parent_id=self.scope,
-                **args,
-            )
+        self.counts[kind] += 1
+        chunk = args.get("chunk")
+        span_id = (
+            f"{self.scope}/chunk:{chunk}"
+            if self.scope is not None and chunk is not None
+            else self.scope
+        )
+        emit(
+            f"resilience.{kind}",
+            level="warning",
+            span_id=span_id,
+            parent_id=self.scope,
+            **args,
+        )
 
     @property
     def retries(self) -> int:
-        return sum(1 for kind, _ in self.events if kind == "retry")
+        return self.counts["retry"]
 
 
 def outcome_checksum(output: np.ndarray, extra: Optional[np.ndarray]) -> str:

@@ -25,6 +25,7 @@ runs and killed jobs can never leave a truncated cache behind.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -72,11 +73,13 @@ def cache_dir() -> Path:
     return base / "repro"
 
 
+@functools.lru_cache(maxsize=64)
 def device_fingerprint(device: DeviceSpec) -> str:
     """Stable hash of every architectural field of ``device``.
 
     Any change to the spec -- clocks, cache sizes, latency constants --
     produces a new fingerprint and therefore a cold cache for it.
+    Memoized per frozen spec: every runtime hashes its device twice.
     """
     payload = json.dumps(dataclasses.asdict(device), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()

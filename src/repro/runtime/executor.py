@@ -37,6 +37,7 @@ import multiprocessing
 import os
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -44,9 +45,9 @@ import numpy as np
 
 from ..gpu.device import QUADRO_6000, DeviceSpec
 from ..model.parameters import ModelParameters
-from ..observe import log as _log
 from ..observe import metrics as _metrics
 from ..observe import profile as _profile
+from ..observe.events import emit
 from ..observe.history import RunHistory, run_record
 from ..observe.tracer import current_tracer, tracing
 from ..resilience.checkpoint import CheckpointStore, batch_fingerprint
@@ -55,7 +56,6 @@ from ..resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..resilience.quarantine import quarantine_outcomes
 from ..resilience.supervisor import (
     ChunkFailedError,
-    SuperviseStats,
     ChunkSpans,
     outcome_checksum,
     supervise_pool,
@@ -164,20 +164,19 @@ def _execute_chunk(
             _metrics.set_default_registry(previous_metrics)
     digest = outcome_checksum(result.output, result.extra) if checksum else None
     wall_s = time.perf_counter() - start
-    if _log.log_enabled():
-        # One record per attempt, stamped with the same span ids the
-        # profile spans carry, so a log line joins its flamegraph span.
-        chunk_id = f"{scope}/chunk:{chunk_index}" if scope else None
-        _log.log_event(
-            "worker.attempt",
-            span_id=f"{chunk_id}/attempt:{attempt}" if chunk_id else None,
-            parent_id=chunk_id,
-            op=op,
-            chunk=chunk_index,
-            attempt=attempt,
-            wall_s=wall_s,
-            dropped=dropped,
-        )
+    # The trace holds this attempt as its ``attempt`` span (see
+    # ``events.SPANNED``); the record carries that span's ids.
+    chunk_id = f"{scope}/chunk:{chunk_index}" if scope else None
+    emit(
+        "worker.attempt",
+        span_id=f"{chunk_id}/attempt:{attempt}" if chunk_id else None,
+        parent_id=chunk_id,
+        op=op,
+        chunk=chunk_index,
+        attempt=attempt,
+        wall_s=wall_s,
+        dropped=dropped,
+    )
     output = result.output
     if faults is not None:
         # Corruption is injected *after* the checksum, simulating a
@@ -242,6 +241,22 @@ def _emit_worker_spans(
         attempt=attempt,
         op=op,
         worker=pid,
+    )
+
+
+def _degrade(exc: Exception, scope: Optional[str]) -> None:
+    """Warn that the pool failed and record the serial fallback."""
+    warnings.warn(
+        f"sharded execution failed ({exc!r}); "
+        "degrading to serial in-process execution",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    emit(
+        "runtime.serial_fallback",
+        level="warning",
+        span_id=scope,
+        error=type(exc).__name__,
     )
 
 
@@ -427,12 +442,11 @@ class BatchRuntime:
             emitter = _profile.ProfileEmitter(tracer, f"batch:{next(_BATCH_SEQ)}")
         batch_start = emitter.now() if emitter is not None else 0.0
         chunks = plan_chunks(batch, self.chunk_cost)
+        scope = emitter.scope if emitter is not None else None
         # Workers receive the profile scope (a string) so their attempt
         # spans carry fully-scoped ids; plain ``True`` traces without
         # profile spans, ``False`` is the untraced hot path.
-        trace_token: Union[bool, str] = (
-            emitter.scope if emitter is not None else traced
-        )
+        trace_token: Union[bool, str] = scope if scope is not None else traced
         payloads = [
             (
                 batch.groups[chunk.group].op,
@@ -442,27 +456,24 @@ class BatchRuntime:
             )
             for chunk in chunks
         ]
+        plan_id = emitter.span_id("plan") if emitter is not None else None
         if emitter is not None:
             emitter.emit(
                 "plan",
                 batch_start,
-                span_id=emitter.span_id("plan"),
-                parent_id=emitter.scope,
+                span_id=plan_id,
+                parent_id=scope,
                 chunks=len(chunks),
                 problems=batch.total_problems,
             )
-        log_scope = emitter.scope if emitter is not None else None
-        if _log.log_enabled():
-            _log.log_event(
-                "runtime.plan",
-                span_id=(
-                    emitter.span_id("plan") if emitter is not None else None
-                ),
-                parent_id=log_scope,
-                chunks=len(chunks),
-                problems=batch.total_problems,
-                workers=self.workers,
-            )
+        emit(
+            "runtime.plan",
+            span_id=plan_id,
+            parent_id=scope,
+            chunks=len(chunks),
+            problems=batch.total_problems,
+            workers=self.workers,
+        )
 
         resumed: dict[int, ChunkOutcome] = {}
         record = None
@@ -476,13 +487,11 @@ class BatchRuntime:
 
             def record(index: int, outcome: ChunkOutcome) -> None:
                 self.checkpoint.record(fingerprint, index, outcome)
-                _log.log_event(
+                emit(
                     "checkpoint.record",
                     level="debug",
-                    span_id=(
-                        f"{log_scope}/chunk:{index}" if log_scope else None
-                    ),
-                    parent_id=log_scope,
+                    span_id=f"{scope}/chunk:{index}" if scope else None,
+                    parent_id=scope,
                     chunk=index,
                 )
 
@@ -494,7 +503,6 @@ class BatchRuntime:
 
         execute_start = emitter.now() if emitter is not None else 0.0
         start = time.perf_counter()
-        stats = SuperviseStats()
         by_index: Optional[dict[int, ChunkOutcome]] = None
         mode = "serial"
         if not self.resilience:
@@ -505,7 +513,7 @@ class BatchRuntime:
         else:
             if self.workers > 1 and len(entries) > 1:
                 try:
-                    by_index, stats = self._run_pool(
+                    by_index = self._run_pool(
                         entries, record, nchunks=len(chunks), profile=emitter
                     )
                     mode = "process"
@@ -515,13 +523,7 @@ class BatchRuntime:
                     # re-execute completed ones.
                     raise
                 except Exception as exc:
-                    warnings.warn(
-                        f"sharded execution failed ({exc!r}); "
-                        "degrading to serial in-process execution",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    by_index = None
+                    _degrade(exc, scope)
                     mode = "serial-fallback"
             if by_index is None:
                 if record is not None and mode == "serial-fallback":
@@ -535,7 +537,7 @@ class BatchRuntime:
                     }
                     resumed.update(more)
                     entries = [e for e in entries if e[0] not in resumed]
-                by_index, serial_stats = supervise_serial(
+                by_index, _ = supervise_serial(
                     entries,
                     execute=_execute_chunk,
                     policy=self.retry_policy,
@@ -544,7 +546,6 @@ class BatchRuntime:
                     on_complete=record,
                     profile=emitter,
                 )
-                stats.events.extend(serial_stats.events)
         by_index.update(resumed)
         outcomes = [by_index[index] for index in range(len(chunks))]
         if emitter is not None:
@@ -552,7 +553,7 @@ class BatchRuntime:
                 "execute",
                 execute_start,
                 span_id=emitter.span_id("execute"),
-                parent_id=emitter.scope,
+                parent_id=scope,
                 chunks=len(chunks),
                 mode=mode,
             )
@@ -566,33 +567,6 @@ class BatchRuntime:
             # journal has served its purpose.
             self.checkpoint.clear()
 
-        if _log.log_enabled():
-            if resumed:
-                _log.log_event(
-                    "resilience.resume",
-                    span_id=log_scope,
-                    skipped=len(resumed),
-                    chunks=len(chunks),
-                )
-            if failures:
-                _log.log_event(
-                    "runtime.quarantine",
-                    level="warning",
-                    span_id=log_scope,
-                    problems=len(failures),
-                    ops=sorted({f.op for f in failures}),
-                )
-            _log.log_event(
-                "runtime.launch",
-                span_id=log_scope,
-                mode=mode,
-                chunks=len(chunks),
-                workers=self.workers,
-                problems=batch.total_problems,
-                failures=len(failures),
-                wall_s=wall_s,
-            )
-
         if traced:
             for chunk, outcome in zip(chunks, outcomes):
                 if outcome.registry is not None:
@@ -604,29 +578,41 @@ class BatchRuntime:
                     shard=chunk.index,
                     worker=outcome.pid,
                 )
-            for kind, args in stats.events:
-                tracer.instant(f"resilience.{kind}", "resilience", **args)
-            if resumed:
-                tracer.instant(
-                    "resilience.resume",
-                    "resilience",
-                    skipped=len(resumed),
-                    chunks=len(chunks),
-                )
-            if failures:
-                tracer.instant(
-                    "resilience.quarantine",
-                    "resilience",
-                    problems=len(failures),
-                )
-            tracer.instant(
-                "runtime.launch",
-                "runtime",
-                chunks=len(chunks),
-                workers=self.workers,
-                mode=mode,
-                problems=batch.total_problems,
+        dropped = sum(outcome.dropped for outcome in outcomes)
+        if dropped:
+            emit(
+                "runtime.trace_dropped",
+                level="warning",
+                span_id=scope,
+                dropped=dropped,
             )
+        if resumed:
+            emit(
+                "resilience.resume",
+                span_id=scope,
+                skipped=len(resumed),
+                chunks=len(chunks),
+            )
+        quarantined = Counter((f.op, f.reason) for f in failures)
+        for (op, reason), problems in sorted(quarantined.items()):
+            emit(
+                "runtime.quarantine",
+                level="warning",
+                span_id=scope,
+                op=op,
+                reason=reason,
+                problems=problems,
+            )
+        emit(
+            "runtime.launch",
+            span_id=scope,
+            mode=mode,
+            chunks=len(chunks),
+            workers=self.workers,
+            problems=batch.total_problems,
+            failures=len(failures),
+            wall_s=wall_s,
+        )
 
         report = merge_outcomes(
             batch, chunks, outcomes, workers=self.workers, mode=mode, wall_s=wall_s
@@ -638,29 +624,27 @@ class BatchRuntime:
                 merge_start,
                 merge_end,
                 span_id=emitter.span_id("merge"),
-                parent_id=emitter.scope,
+                parent_id=scope,
                 chunks=len(chunks),
             )
             emitter.emit(
                 "batch",
                 batch_start,
                 merge_end,
-                span_id=emitter.scope,
+                span_id=scope,
                 parent_id=None,
                 problems=batch.total_problems,
                 chunks=len(chunks),
                 workers=self.workers,
                 mode=mode,
             )
-            roots = _profile.build_span_trees(tracer.events, scope=emitter.scope)
+            roots = _profile.build_span_trees(tracer.events, scope=scope)
             batch_root = next((r for r in roots if r.name == "batch"), None)
             if batch_root is not None:
                 report.profile = _profile.compute_profile(batch_root)
         report.failures = failures
         report.params = self.parameters()
-        self._observe_run(
-            batch, chunks, outcomes, report, stats=stats, resumed=len(resumed)
-        )
+        self._observe_run(batch, chunks, outcomes, report)
         return report
 
     def _run_unsupervised(
@@ -674,13 +658,7 @@ class BatchRuntime:
                 outcomes = self._run_pool_plain(payloads, profile)
                 mode = "process"
             except Exception as exc:
-                warnings.warn(
-                    f"sharded execution failed ({exc!r}); "
-                    "degrading to serial in-process execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                outcomes = None
+                _degrade(exc, profile.scope if profile is not None else None)
                 mode = "serial-fallback"
         if outcomes is None:
             spans = ChunkSpans(profile)
@@ -698,15 +676,7 @@ class BatchRuntime:
                 outcomes.append(outcome)
         return dict(enumerate(outcomes)), mode
 
-    def _observe_run(
-        self,
-        batch,
-        chunks,
-        outcomes,
-        report: BatchReport,
-        stats: Optional[SuperviseStats] = None,
-        resumed: int = 0,
-    ) -> None:
+    def _observe_run(self, batch, chunks, outcomes, report: BatchReport) -> None:
         """Fold chunk telemetry into the fleet registry + run history.
 
         Regime classification always lands on the report (it is part of
@@ -731,19 +701,12 @@ class BatchRuntime:
             # Attribution is best-effort decoration, but a launch losing
             # its regimes must be *visible*, not silently blank.
             attributions = []
-            _metrics.counter_inc(
-                "repro_attribution_errors_total",
-                help="Launches whose model attribution failed.",
+            emit(
+                "observe.attribution_error",
+                level="warning",
                 error=type(exc).__name__,
+                detail=str(exc)[:200],
             )
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.instant(
-                    "observe.attribution_error",
-                    "observe",
-                    error=type(exc).__name__,
-                    detail=str(exc)[:200],
-                )
 
         if _metrics.metrics_enabled():
             registry = _metrics.default_registry()
@@ -752,76 +715,6 @@ class BatchRuntime:
             for outcome in outcomes:
                 if outcome.metrics is not None:
                     registry.merge(outcome.metrics)
-            registry.inc(
-                "repro_runtime_launches_total",
-                help="Batch launches by execution mode.",
-                mode=report.mode,
-            )
-            if report.mode == "serial-fallback":
-                registry.inc(
-                    "repro_runtime_serial_fallback_total",
-                    help="Launches degraded from the pool to in-process.",
-                )
-            # Recovery events only: a clean launch adds nothing here, so
-            # the failure-free path's metric totals are exactly the
-            # pre-resilience ones.
-            if stats is not None:
-                for kind, args in stats.events:
-                    if kind == "retry":
-                        registry.inc(
-                            "repro_chunk_retries_total",
-                            help="Chunk attempts retried, by op and reason.",
-                            op=args.get("op", ""),
-                            reason=args.get("reason", ""),
-                        )
-                    elif kind == "timeout":
-                        registry.inc(
-                            "repro_chunk_timeouts_total",
-                            help="Chunk attempts cancelled at their deadline.",
-                            op=args.get("op", ""),
-                        )
-                    elif kind == "inline":
-                        registry.inc(
-                            "repro_chunk_inline_total",
-                            help="Chunks rescued inline after pool retries.",
-                            op=args.get("op", ""),
-                        )
-                    elif kind == "rebuild":
-                        registry.inc(
-                            "repro_pool_rebuilds_total",
-                            help="Worker pools torn down and rebuilt.",
-                            reason=args.get("reason", ""),
-                        )
-            if resumed:
-                registry.inc(
-                    "repro_resume_chunks_skipped_total",
-                    resumed,
-                    help="Chunks restored from a checkpoint journal.",
-                )
-            for failure in report.failures:
-                registry.inc(
-                    "repro_problem_failures_total",
-                    help="Problems quarantined for numerical breakdown.",
-                    op=failure.op,
-                    reason=failure.reason,
-                )
-            dropped = sum(o.dropped for o in outcomes)
-            if dropped:
-                registry.inc(
-                    "repro_trace_dropped_events_total",
-                    dropped,
-                    help="Worker trace events lost to ring-buffer overflow.",
-                )
-            registry.set(
-                "repro_runtime_workers",
-                report.workers,
-                help="Pool size of the most recent launch.",
-            )
-            registry.set(
-                "repro_runtime_wall_seconds",
-                report.wall_s,
-                help="Wall time of the most recent launch.",
-            )
             for chunk, outcome in zip(chunks, outcomes):
                 op = batch.groups[chunk.group].op
                 registry.inc(
@@ -938,12 +831,12 @@ class BatchRuntime:
         record=None,
         nchunks: Optional[int] = None,
         profile=None,
-    ) -> tuple[dict[int, ChunkOutcome], SuperviseStats]:
+    ) -> dict[int, ChunkOutcome]:
         """Supervised pool execution of ``(index, payload)`` entries."""
         context = multiprocessing.get_context(self.start_method)
         if nchunks is None:
             nchunks = max(index for index, _ in entries) + 1
-        return supervise_pool(
+        outcomes, _ = supervise_pool(
             entries,
             execute=_execute_chunk,
             mp_context=context,
@@ -954,6 +847,7 @@ class BatchRuntime:
             on_complete=record,
             profile=profile,
         )
+        return outcomes
 
     def _run_pool_plain(self, payloads: list, profile=None) -> list[ChunkOutcome]:
         """The unsupervised pool (``resilience=False``): fail-together."""

@@ -155,21 +155,6 @@ class TestSpanContext:
 
 
 class TestGating:
-    def test_disabled_log_event_writes_nothing(self, sink):
-        previous_flag = obslog.set_log_enabled(False)
-        previous_sink = obslog.set_default_logger(StructuredLogger(sink))
-        try:
-            obslog.log_event("x", chunks=4)
-        finally:
-            obslog.set_log_enabled(previous_flag)
-            obslog.set_default_logger(previous_sink)
-        assert not sink.exists()
-
-    def test_enabled_log_event_writes(self, enabled):
-        obslog.log_event("x", chunks=4)
-        (record,) = read_log(enabled)
-        assert record["fields"]["chunks"] == 4
-
     def test_set_log_enabled_returns_previous(self):
         previous = obslog.set_log_enabled(True)
         assert obslog.set_log_enabled(previous) is True
@@ -187,6 +172,40 @@ class TestGating:
     def test_env_path_becomes_sink(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_LOG", str(tmp_path / "my.jsonl"))
         assert obslog._env_sink() == tmp_path / "my.jsonl"
+
+    @pytest.mark.parametrize("raw", ["", "  ", "maybe"])
+    @pytest.mark.parametrize("default", [False, True])
+    def test_env_switch_keeps_default(self, raw, default, monkeypatch):
+        monkeypatch.setenv("REPRO_SWITCH_UNDER_TEST", raw)
+        assert obslog.env_switch("REPRO_SWITCH_UNDER_TEST", default) is default
+
+    @pytest.mark.parametrize(
+        "raw, expected", [("no", False), (" 0 ", False), ("OFF", False), ("yes", True)]
+    )
+    def test_every_switch_parses_alike(self, raw, expected, tmp_path):
+        # REPRO_METRICS/REPRO_PROFILE default on, REPRO_LOG/REPRO_SANITIZE
+        # off; one word must flip all four the same way.
+        src = Path(__file__).resolve().parents[2] / "src"
+        switches = ("REPRO_LOG", "REPRO_METRICS", "REPRO_PROFILE", "REPRO_SANITIZE")
+        env = dict(
+            os.environ,
+            REPRO_CACHE_DIR=str(tmp_path),
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")])
+            ),
+            **{name: raw for name in switches},
+        )
+        code = (
+            "from repro.observe import log, metrics, profile\n"
+            "from repro.analyze.sanitizer import sanitize_enabled\n"
+            "print(log.log_enabled(), metrics.metrics_enabled(),"
+            " profile.profiling_enabled(), sanitize_enabled())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(expected)] * len(switches)
 
     @pytest.mark.parametrize(
         "statement",

@@ -45,6 +45,19 @@ class TestClassify:
         assert c.regime == regime
         assert c.dominant_term == term
 
+    def test_total_is_the_same_on_every_python(self, monkeypatch):
+        # Python 3.12's builtin sum() compensates float rounding; the
+        # regime gauges must not move with the interpreter.
+        from repro.observe import regime as regime_mod
+        from tests.gpu.test_clock import compensated_sum
+
+        monkeypatch.setattr(regime_mod, "sum", compensated_sum, raising=False)
+        c = classify_regime(
+            make_report({"flops*gamma": 1e16, "#msg*alpha_sh": 1.0,
+                         "nsync*alpha_sync": 1.0})
+        )
+        assert c.measured_cycles == 1e16
+
     def test_shares_sum_to_one(self):
         c = classify_regime(
             make_report({"flops*gamma": 60.0, "msize*beta_glb": 40.0})

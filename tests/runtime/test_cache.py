@@ -81,6 +81,16 @@ class TestCalibrationCache:
         tweaked = dataclasses.replace(QUADRO_6000, l2_bytes=1024)
         assert device_fingerprint(tweaked) != device_fingerprint(QUADRO_6000)
 
+    def test_fingerprint_memoized_per_spec(self):
+        # An equal spec shares the memoized digest, not just its value.
+        base = device_fingerprint(QUADRO_6000)
+        assert device_fingerprint(dataclasses.replace(QUADRO_6000)) is base
+        for field in dataclasses.fields(QUADRO_6000):
+            value = getattr(QUADRO_6000, field.name)
+            changed = value + "x" if isinstance(value, str) else value + 1
+            tweaked = dataclasses.replace(QUADRO_6000, **{field.name: changed})
+            assert device_fingerprint(tweaked) != base, field.name
+
 
 class TestJsonStoreStatus:
     def test_miss_then_hit_then_stale(self, tmp_path):

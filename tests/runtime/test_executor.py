@@ -296,6 +296,27 @@ class TestFleetTelemetry:
         assert classification.regime in REGIMES
         assert sum(classification.shares.values()) == pytest.approx(1.0)
 
+    def test_worker_trace_drops_counted_once(
+        self, tmp_path, metrics_registry, monkeypatch
+    ):
+        # A worker tracer small enough to overflow on every chunk.
+        import repro.runtime.executor as executor_mod
+
+        monkeypatch.setattr(
+            executor_mod, "tracing", lambda: tracing(capacity=4)
+        )
+        matrices = diagonally_dominant_batch(24, 6, seed=17)
+        runtime = _runtime(tmp_path, workers=1, chunk_cost=lu_flops(6) * 8)
+        with tracing() as tracer:
+            runtime.run(ProblemBatch.single("lu", matrices))
+        assert tracer.dropped > 0
+        assert (
+            metrics_registry.value("repro_trace_dropped_total") == tracer.dropped
+        )
+        assert [f for f in metrics_registry.families() if "dropped" in f] == [
+            "repro_trace_dropped_total"
+        ]
+
     def test_metrics_disabled_emits_nothing(self, tmp_path, metrics_registry):
         metrics_mod.set_metrics_enabled(False)
         matrices = diagonally_dominant_batch(12, 8, seed=16)
