@@ -137,8 +137,9 @@ def _walkthrough() -> None:
     t0 = _time.perf_counter()
     serial = per_block_lu(lu_batch)
     serial_s = _time.perf_counter() - t0
-    sharded_runtime = BatchRuntime(workers=workers, chunk_cost=4e6)
-    report = run_batched("lu", lu_batch, runtime=sharded_runtime)
+    # The runtime keeps its worker pool for later launches until closed.
+    with BatchRuntime(workers=workers, chunk_cost=4e6) as sharded_runtime:
+        report = run_batched("lu", lu_batch, runtime=sharded_runtime)
     identical = np.array_equal(report.output, serial.output)
     print(f"\nSharded runtime ({report.mode}, {report.workers} workers, "
           f"{report.chunks} chunks over {report.problems} problems):")

@@ -268,43 +268,46 @@ def run_spec(
     start = time.perf_counter()
     records: List[CellRecord] = []
     budget_overruns: List[str] = []
-    for i, cell in enumerate(cells):
-        if cell.id in restored:
-            records.append(_restored_record(cell, restored[cell.id]))
-            continue
-        record = run_cell(cell, ctx)
-        records.append(record)
-        _append_journal(
-            journal,
-            {
-                "fingerprint": fingerprint,
-                "record": record.to_dict(),
-                "wall_s": record.wall_s,
-            },
-        )
-        executed += 1
-        emit(
-            "experiment.cell",
-            level="warning" if record.status == "failed" else "info",
-            experiment=spec.name,
-            cell=cell.id,
-            status=record.status,
-            wall_s=record.wall_s,
-        )
-        status = record.status if record.status != "ok" else f"{record.wall_s:.3f}s"
-        say(f"[{i + 1}/{len(cells)}] {cell.id}: {status}")
-        if kill_after and executed >= kill_after:
-            os.kill(os.getpid(), signal.SIGKILL)
-        if (
-            record.status == "ok"
-            and cell.policy.budget_s > 0
-            and record.wall_s > cell.policy.budget_s
-        ):
-            budget_overruns.append(cell.id)
-            say(
-                f"  budget overrun: {record.wall_s:.3f}s > "
-                f"{cell.policy.budget_s:.3f}s"
+    try:
+        for i, cell in enumerate(cells):
+            if cell.id in restored:
+                records.append(_restored_record(cell, restored[cell.id]))
+                continue
+            record = run_cell(cell, ctx)
+            records.append(record)
+            _append_journal(
+                journal,
+                {
+                    "fingerprint": fingerprint,
+                    "record": record.to_dict(),
+                    "wall_s": record.wall_s,
+                },
             )
+            executed += 1
+            emit(
+                "experiment.cell",
+                level="warning" if record.status == "failed" else "info",
+                experiment=spec.name,
+                cell=cell.id,
+                status=record.status,
+                wall_s=record.wall_s,
+            )
+            status = record.status if record.status != "ok" else f"{record.wall_s:.3f}s"
+            say(f"[{i + 1}/{len(cells)}] {cell.id}: {status}")
+            if kill_after and executed >= kill_after:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if (
+                record.status == "ok"
+                and cell.policy.budget_s > 0
+                and record.wall_s > cell.policy.budget_s
+            ):
+                budget_overruns.append(cell.id)
+                say(
+                    f"  budget overrun: {record.wall_s:.3f}s > "
+                    f"{cell.policy.budget_s:.3f}s"
+                )
+    finally:
+        ctx.close()
     wall_s = time.perf_counter() - start
 
     matrix = _matrix_doc(spec, fingerprint, pruned, records)

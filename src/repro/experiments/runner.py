@@ -112,7 +112,8 @@ class SweepContext:
     ``cache_dir``) and the pool size every
     :class:`~repro.runtime.BatchRuntime` uses.  Per-launch history is
     deliberately off: the sweep appends one aggregate record, keeping
-    the drift window comparable sweep-to-sweep.
+    the drift window comparable sweep-to-sweep.  Each runtime keeps its
+    worker pool across the sweep's cells until :meth:`close`.
     """
 
     seed: int = 0
@@ -148,6 +149,11 @@ class SweepContext:
                 faults=None if fault_plan == "none" else fault_plan,
             )
         return self._runtimes[key]
+
+    def close(self) -> None:
+        """Shut down the worker pools of every runtime the sweep used."""
+        for runtime in self._runtimes.values():
+            runtime.close()
 
 
 def cell_seed(base_seed: int, cell: Cell) -> int:

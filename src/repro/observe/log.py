@@ -12,11 +12,11 @@ trace layers: instrumented call-sites go through
 when disabled.  The ``REPRO_LOG`` environment variable turns it on (see
 :func:`env_switch`): ``1``/``true``/``yes``/``on`` write to
 ``<cache dir>/events.jsonl``, and any other non-empty value that is not
-an off word is taken as the sink path.  Worker processes inherit the
-environment, so a sharded launch's workers append to the same sink;
-lines are single ``os.write`` calls on an ``O_APPEND`` descriptor, so
-concurrent writers interleave whole records and a killed process never
-leaves a torn line (the same contract as
+an off word is taken as the sink path.  Each chunk of a sharded launch
+carries the launch's sink to its worker, so the workers append to the
+same sink; lines are single ``os.write`` calls on an ``O_APPEND``
+descriptor, so concurrent writers interleave whole records and a killed
+process never leaves a torn line (the same contract as
 :class:`~repro.observe.history.RunHistory`).
 
 The correlation story: the PR 6 profiler stamps every batch launch with

@@ -326,6 +326,19 @@ def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
     return previous
 
 
+def _forget_tracer() -> None:
+    """A forked child starts untraced: its parent's tracer is not its own.
+
+    A kept pool worker is forked once and serves later launches, traced
+    or not; each traced chunk opens its own tracer.
+    """
+    _tls.tracer = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_tracer)
+
+
 @contextmanager
 def tracing(
     tracer: Optional[Tracer] = None, capacity: int = DEFAULT_CAPACITY

@@ -9,7 +9,8 @@ first-class, observable, *testable* outcome of the batch runtime:
   deadlines and capped exponential backoff;
 * :mod:`~repro.resilience.supervisor` -- the per-chunk supervisor that
   retries, rebuilds broken pools, kills hung workers, and rescues a
-  chunk inline only after its retries are exhausted;
+  chunk inline only after its retries are exhausted, on the
+  :class:`WorkerPool` a runtime keeps across launches;
 * :mod:`~repro.resilience.quarantine` -- numerical breakdowns (zero
   pivot, non-PSD input, non-finite output) fail *their problem slot*
   (NaN-masked, reported as :class:`ProblemFailure` on
@@ -41,6 +42,7 @@ from .quarantine import ProblemFailure, quarantine_outcomes, scan_output
 from .supervisor import (
     ChunkFailedError,
     SuperviseStats,
+    WorkerPool,
     outcome_checksum,
     supervise_pool,
     supervise_serial,
@@ -58,6 +60,7 @@ __all__ = [
     "ProblemFailure",
     "RetryPolicy",
     "SuperviseStats",
+    "WorkerPool",
     "batch_fingerprint",
     "outcome_checksum",
     "parse_faults",

@@ -12,7 +12,7 @@ supervisor makes failure *per chunk*:
   ``RetryPolicy.max_retries`` times;
 * a **broken pool** (worker died hard) is torn down and rebuilt; chunks
   that were merely in flight at teardown time are resubmitted without
-  burning a retry;
+  burning a retry, and the rebuilt pool is the one later launches use;
 * a chunk that exhausts its retries runs **inline** in the launch
   process as a last resort; only an inline failure surfaces, as
   :class:`ChunkFailedError` -- and by then every other chunk's outcome
@@ -27,6 +27,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
 import time
 import zlib
 from collections import Counter, deque
@@ -42,6 +46,7 @@ __all__ = [
     "ChunkFailedError",
     "ChunkSpans",
     "SuperviseStats",
+    "WorkerPool",
     "outcome_checksum",
     "supervise_pool",
     "supervise_serial",
@@ -130,6 +135,79 @@ def _verified(outcome) -> bool:
 
 
 Entry = Tuple[int, tuple]  # (chunk index, payload for ``execute``)
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker when its parent process dies.
+
+    An idle worker blocks reading the call queue, whose write end it
+    holds itself, so without this it would outlive a launch process
+    killed by a signal.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+class WorkerPool:
+    """The one process pool of a runtime, kept across its launches.
+
+    :meth:`executor` builds the pool on first use and returns the same
+    live pool to every later launch.  :meth:`kill` (a broken pool, a
+    missed deadline, an error exit) and :meth:`close` drop it; the next
+    :meth:`executor` call then builds a fresh one.  Nothing else builds,
+    kills or shuts down a pool.
+    """
+
+    def __init__(self, max_workers: int, start_method: str) -> None:
+        self.max_workers = max_workers
+        self.start_method = start_method
+        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+
+    def executor(self) -> concurrent.futures.ProcessPoolExecutor:
+        """The live pool, built if there is none."""
+        if self._executor is None:
+            self._executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=multiprocessing.get_context(self.start_method),
+                initializer=_exit_with_parent,
+            )
+        return self._executor
+
+    @property
+    def processes(self) -> list:
+        """The live pool's worker processes (none before its first task)."""
+        if self._executor is None:
+            return []
+        # ``_processes`` is a stable CPython internal; ``None`` once the
+        # executor has shut down.
+        return list((self._executor._processes or {}).values())
+
+    def kill(self) -> None:
+        """Kill the workers, wait until they are reaped, and drop the pool.
+
+        ``shutdown`` alone would wait on (or leak) a hung worker; a
+        deadline is only real if the worker actually dies.  Once every
+        worker is dead, the executor's own thread fails what was in
+        flight and reaps them, so the ``shutdown`` wait is short.
+        """
+        processes = self.processes
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        for proc in processes:
+            proc.kill()
+        executor.shutdown(wait=True, cancel_futures=True)
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its workers; idempotent."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
 
 class ChunkSpans:
@@ -251,8 +329,7 @@ def supervise_pool(
     entries: Sequence[Entry],
     *,
     execute: Callable,
-    mp_context,
-    max_workers: int,
+    pool: WorkerPool,
     policy: RetryPolicy,
     faults=None,
     nchunks: int = 1,
@@ -263,7 +340,11 @@ def supervise_pool(
 
     Returns ``(outcomes by chunk index, stats)``.  Raises
     :class:`ChunkFailedError` only when a chunk fails its retries *and*
-    its inline last resort.  ``profile`` is an optional
+    its inline last resort.  ``pool`` is borrowed: the launch runs on
+    its live pool (building one if it has none), and a clean return
+    leaves the pool alive -- the rebuilt one, after a broken pool or a
+    missed deadline -- for the next launch.  Any error exit kills it.
+    ``profile`` is an optional
     :class:`~repro.observe.profile.ProfileEmitter`; when set, every
     submission (including retries and forgiven resubmissions) and every
     chunk completion lands in the batch span tree.
@@ -284,25 +365,7 @@ def supervise_pool(
     #: chunks whose pool was torn down under them through no fault of
     #: their own -- resubmitted without consuming a retry.
     forgiven: set[int] = set()
-    pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
     generation = 0
-
-    def build_pool() -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(max_workers, len(entries)), mp_context=mp_context
-        )
-
-    def kill_pool(dead: concurrent.futures.ProcessPoolExecutor) -> None:
-        # ``shutdown`` alone would wait on (or leak) a hung worker; a
-        # deadline is only real if the worker actually dies.  The
-        # executor keeps its workers in ``_processes`` (stable CPython
-        # internal); terminate them first, then release the queues.
-        for proc in list(getattr(dead, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except Exception:  # noqa: BLE001 -- already-dead workers
-                pass
-        dead.shutdown(wait=False, cancel_futures=True)
 
     def run_inline(index: int, reason: str) -> None:
         op = payloads[index][0]
@@ -351,15 +414,14 @@ def supervise_pool(
 
     try:
         while ready or inflight:
-            if pool is None:
-                pool = build_pool()
+            executor = pool.executor()
             while ready:
                 index = ready.popleft()
                 delay = policy.backoff_delay(attempts[index])
                 if delay:
                     time.sleep(delay)
                 submit_start = spans.now()
-                future = pool.submit(
+                future = executor.submit(
                     execute,
                     *payloads[index],
                     chunk_index=index,
@@ -426,12 +488,11 @@ def supervise_pool(
                     if on_complete is not None:
                         on_complete(index, outcome)
 
-            if broken and pool is not None:
+            if broken:
                 # Sibling in-flight chunks will surface as broken/
                 # cancelled; they were not at fault.
                 forgiven.update(index for index, _, _, _ in inflight.values())
-                kill_pool(pool)
-                pool = None
+                pool.kill()
                 generation += 1
                 stats.note("rebuild", reason="broken-pool")
                 continue
@@ -446,21 +507,14 @@ def supervise_pool(
                 for future in expired:
                     index, _, _, _ = inflight.pop(future)
                     fail(index, "timeout")
-                if pool is not None:
-                    forgiven.update(
-                        index for index, _, _, _ in inflight.values()
-                    )
-                    kill_pool(pool)
-                    pool = None
-                    generation += 1
-                    stats.note("rebuild", reason="timeout")
-    finally:
-        if pool is not None:
-            if len(outcomes) == len(entries):
-                pool.shutdown(wait=True)
-            else:
-                # Error exit with attempts possibly still hung: kill, do
-                # not wait (a hung worker would block shutdown forever).
-                kill_pool(pool)
+                forgiven.update(index for index, _, _, _ in inflight.values())
+                pool.kill()
+                generation += 1
+                stats.note("rebuild", reason="timeout")
+    except BaseException:
+        # Attempts may still be running (or hung): the pool goes with
+        # them, and the next launch builds a fresh one.
+        pool.kill()
+        raise
 
     return outcomes, stats

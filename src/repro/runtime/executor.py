@@ -18,6 +18,11 @@ Guarantees the tests pin down:
 * **graceful degradation** -- if the pool cannot be built or a worker
   dies, the launch falls back to in-process execution with a
   ``RuntimeWarning`` instead of crashing;
+* **one pool per runtime** -- the pool starts at the runtime's first
+  pooled launch, serves every later one, and shuts down with
+  :meth:`BatchRuntime.close` (or the ``with`` block, or when the runtime
+  is dropped); each chunk carries the launch's telemetry switches, so a
+  worker records what the launch asks for, not what it was forked with;
 * **warm caches** -- the runtime's :class:`CalibrationCache` makes
   :func:`~repro.microbench.calibrate.calibrate` a once-per-device cost
   and its :class:`DispatchCache` memoizes approach rankings.
@@ -31,20 +36,23 @@ The convenience entry point :func:`run_batched` (re-exported from
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import multiprocessing
 import os
 import time
 import warnings
+import weakref
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from ..analyze.sanitizer import sanitize_enabled, sanitizing
 from ..gpu.device import QUADRO_6000, DeviceSpec
 from ..model.parameters import ModelParameters
+from ..observe import log as _log
 from ..observe import metrics as _metrics
 from ..observe import profile as _profile
 from ..observe.events import emit
@@ -57,6 +65,7 @@ from ..resilience.quarantine import quarantine_outcomes
 from ..resilience.supervisor import (
     ChunkFailedError,
     ChunkSpans,
+    WorkerPool,
     outcome_checksum,
     supervise_pool,
     supervise_serial,
@@ -87,11 +96,54 @@ def default_workers() -> int:
 _BATCH_SEQ = itertools.count()
 
 
+class Switches(NamedTuple):
+    """The launch's telemetry switches, carried by each of its chunks.
+
+    A kept worker was forked for an earlier launch, so its own globals
+    may hold that launch's settings; :func:`_execute_chunk` sets these
+    for the chunk and restores the process's own afterwards, inline and
+    in a worker alike.
+    """
+
+    #: Whether fleet metrics record.
+    metrics: bool
+    #: The JSONL log's sink, or ``None`` with logging off.
+    log: Optional[Path]
+    #: Whether new engines attach the shared-memory sanitizer.
+    sanitize: bool
+
+    @classmethod
+    def current(cls) -> "Switches":
+        """The switches as this process has them set."""
+        return cls(
+            _metrics.metrics_enabled(),
+            _log.default_logger().path if _log.log_enabled() else None,
+            sanitize_enabled(),
+        )
+
+    @contextmanager
+    def applied(self) -> Iterator[None]:
+        """Set these switches for the body, then restore the previous."""
+        was_metrics = _metrics.set_metrics_enabled(self.metrics)
+        was_log = _log.set_log_enabled(self.log is not None)
+        if self.log is not None:
+            was_logger = _log.set_default_logger(_log.StructuredLogger(self.log))
+        try:
+            with sanitizing(self.sanitize):
+                yield
+        finally:
+            if self.log is not None:
+                _log.set_default_logger(was_logger)
+            _log.set_log_enabled(was_log)
+            _metrics.set_metrics_enabled(was_metrics)
+
+
 def _execute_chunk(
     op: str,
     data: np.ndarray,
     kwargs: dict,
     traced: Union[bool, str],
+    switches: Switches,
     chunk_index: int = 0,
     attempt: int = 0,
     nchunks: int = 1,
@@ -105,6 +157,9 @@ def _execute_chunk(
     the outcome -- inline execution takes the same detour, so the
     launch-level fold (and therefore every metric total) is identical
     between the serial and sharded paths.
+
+    ``switches`` are the launch's :class:`Switches`; the chunk runs
+    under them whatever this process had set.
 
     ``traced`` is falsy (untraced), ``True`` (trace, no profile spans),
     or the batch's profile scope string: the worker then emits its side
@@ -128,55 +183,56 @@ def _execute_chunk(
     if faults is not None:
         faults.apply_pre(chunk_index, attempt, nchunks)
     scope = traced if isinstance(traced, str) else None
-    local_metrics = previous_metrics = None
-    if _metrics.metrics_enabled():
-        local_metrics = _metrics.MetricsRegistry()
-        previous_metrics = _metrics.set_default_registry(local_metrics)
-    start = time.perf_counter()
-    dropped = 0
-    clock = None
-    try:
-        if traced:
-            with tracing() as tracer:
-                kernel_start = tracer.now()
+    with switches.applied():
+        local_metrics = previous_metrics = None
+        if switches.metrics:
+            local_metrics = _metrics.MetricsRegistry()
+            previous_metrics = _metrics.set_default_registry(local_metrics)
+        start = time.perf_counter()
+        dropped = 0
+        clock = None
+        try:
+            if traced:
+                with tracing() as tracer:
+                    kernel_start = tracer.now()
+                    result = info.call(data, **kwargs)
+                    if scope is not None:
+                        _emit_worker_spans(
+                            tracer,
+                            scope,
+                            chunk_index,
+                            attempt,
+                            op,
+                            entry=entry,
+                            start=start,
+                            kernel_start=kernel_start,
+                        )
+                events = list(tracer.events)
+                registry = tracer.counters
+                dropped = tracer.dropped
+                clock = tracer.origin
+            else:
                 result = info.call(data, **kwargs)
-                if scope is not None:
-                    _emit_worker_spans(
-                        tracer,
-                        scope,
-                        chunk_index,
-                        attempt,
-                        op,
-                        entry=entry,
-                        start=start,
-                        kernel_start=kernel_start,
-                    )
-            events = list(tracer.events)
-            registry = tracer.counters
-            dropped = tracer.dropped
-            clock = tracer.origin
-        else:
-            result = info.call(data, **kwargs)
-            events = []
-            registry = None
-    finally:
-        if local_metrics is not None:
-            _metrics.set_default_registry(previous_metrics)
-    digest = outcome_checksum(result.output, result.extra) if checksum else None
-    wall_s = time.perf_counter() - start
-    # The trace holds this attempt as its ``attempt`` span (see
-    # ``events.SPANNED``); the record carries that span's ids.
-    chunk_id = f"{scope}/chunk:{chunk_index}" if scope else None
-    emit(
-        "worker.attempt",
-        span_id=f"{chunk_id}/attempt:{attempt}" if chunk_id else None,
-        parent_id=chunk_id,
-        op=op,
-        chunk=chunk_index,
-        attempt=attempt,
-        wall_s=wall_s,
-        dropped=dropped,
-    )
+                events = []
+                registry = None
+        finally:
+            if local_metrics is not None:
+                _metrics.set_default_registry(previous_metrics)
+        digest = outcome_checksum(result.output, result.extra) if checksum else None
+        wall_s = time.perf_counter() - start
+        # The trace holds this attempt as its ``attempt`` span (see
+        # ``events.SPANNED``); the record carries that span's ids.
+        chunk_id = f"{scope}/chunk:{chunk_index}" if scope else None
+        emit(
+            "worker.attempt",
+            span_id=f"{chunk_id}/attempt:{attempt}" if chunk_id else None,
+            parent_id=chunk_id,
+            op=op,
+            chunk=chunk_index,
+            attempt=attempt,
+            wall_s=wall_s,
+            dropped=dropped,
+        )
     output = result.output
     if faults is not None:
         # Corruption is injected *after* the checksum, simulating a
@@ -263,6 +319,11 @@ def _degrade(exc: Exception, scope: Optional[str]) -> None:
 class BatchRuntime:
     """Sharded executor with persistent calibration/dispatch caches.
 
+    The runtime keeps one process pool for its whole life: the first
+    launch with more than one chunk starts it, every later launch runs
+    on it, and :meth:`close` -- or leaving a ``with BatchRuntime(...)``
+    block, or dropping the runtime -- shuts it down.
+
     Parameters
     ----------
     workers:
@@ -284,9 +345,11 @@ class BatchRuntime:
         for the default location, a path, or a ready
         :class:`~repro.observe.history.RunHistory`.
     start_method:
-        ``multiprocessing`` start method; default prefers ``fork`` for
-        its negligible startup cost, falling back to the platform
-        default where unavailable.
+        ``multiprocessing`` start method; default prefers ``fork``,
+        falling back to the platform default where unavailable.  The
+        pool starts once per runtime (and again after a rebuild or a
+        :meth:`close`), so the method's startup cost is paid once, not
+        per launch.
     retry_policy:
         Per-chunk :class:`~repro.resilience.policy.RetryPolicy`
         (deadline, retry count, backoff); the default retries twice with
@@ -303,8 +366,9 @@ class BatchRuntime:
         :class:`~repro.resilience.checkpoint.CheckpointStore`.
     resilience:
         ``False`` bypasses the supervisor, checksums, and quarantine
-        entirely (the pre-resilience pool) -- the escape hatch the
-        overhead tripwire in ``bench_runtime_scaling`` measures against.
+        entirely -- the escape hatch the overhead tripwire in
+        ``bench_runtime_scaling`` measures against.  It runs on the same
+        kept pool.
     """
 
     def __init__(
@@ -344,6 +408,24 @@ class BatchRuntime:
             checkpoint, cache_directory, self.faults
         )
         self._params: Optional[ModelParameters] = None
+        self._pool = WorkerPool(self.workers, start_method)
+        # Shuts the pool down when the runtime is dropped or the
+        # interpreter exits; ``close`` does it on demand.
+        weakref.finalize(self, self._pool.close)
+
+    def close(self) -> None:
+        """Shut down the worker pool and wait for its workers.
+
+        Idempotent.  A closed runtime stays usable: its next pooled
+        launch starts a fresh pool.
+        """
+        self._pool.close()
+
+    def __enter__(self) -> "BatchRuntime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @staticmethod
     def _resolve_checkpoint(
@@ -447,12 +529,14 @@ class BatchRuntime:
         # spans carry fully-scoped ids; plain ``True`` traces without
         # profile spans, ``False`` is the untraced hot path.
         trace_token: Union[bool, str] = scope if scope is not None else traced
+        switches = Switches.current()
         payloads = [
             (
                 batch.groups[chunk.group].op,
                 batch.groups[chunk.group].data[chunk.start : chunk.stop],
                 kwargs,
                 trace_token,
+                switches,
             )
             for chunk in chunks
         ]
@@ -650,7 +734,7 @@ class BatchRuntime:
     def _run_unsupervised(
         self, payloads: list, profile=None
     ) -> tuple[dict[int, ChunkOutcome], str]:
-        """The pre-resilience path: bare pool, no checksums/retries."""
+        """The ``resilience=False`` path: no checksums or retries."""
         outcomes: Optional[list[ChunkOutcome]] = None
         mode = "serial"
         if self.workers > 1 and len(payloads) > 1:
@@ -832,15 +916,13 @@ class BatchRuntime:
         nchunks: Optional[int] = None,
         profile=None,
     ) -> dict[int, ChunkOutcome]:
-        """Supervised pool execution of ``(index, payload)`` entries."""
-        context = multiprocessing.get_context(self.start_method)
+        """Supervised execution of ``(index, payload)`` entries on the pool."""
         if nchunks is None:
             nchunks = max(index for index, _ in entries) + 1
         outcomes, _ = supervise_pool(
             entries,
             execute=_execute_chunk,
-            mp_context=context,
-            max_workers=self.workers,
+            pool=self._pool,
             policy=self.retry_policy,
             faults=self.faults,
             nchunks=nchunks,
@@ -851,15 +933,12 @@ class BatchRuntime:
 
     def _run_pool_plain(self, payloads: list, profile=None) -> list[ChunkOutcome]:
         """The unsupervised pool (``resilience=False``): fail-together."""
-        context = multiprocessing.get_context(self.start_method)
-        max_workers = min(self.workers, len(payloads))
         spans = ChunkSpans(profile)
         done_at: dict = {}
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=context
-        ) as pool:
-            futures = []
-            submitted_at = []
+        futures = []
+        submitted_at = []
+        try:
+            pool = self._pool.executor()
             for index, payload in enumerate(payloads):
                 submit_start = spans.now()
                 future = pool.submit(
@@ -879,6 +958,10 @@ class BatchRuntime:
                 futures.append(future)
             # Collect in submission order; completion order is irrelevant.
             outcomes = [future.result() for future in futures]
+        except BaseException:
+            # Chunks may still be running; they go down with the pool.
+            self._pool.kill()
+            raise
         for index, (future, submit_ts, outcome) in enumerate(
             zip(futures, submitted_at, outcomes)
         ):
@@ -909,15 +992,16 @@ def run_batched(
 
     ``problems`` is one ``(batch, m, n)`` array or a sequence of them
     (mixed sizes -> one group each).  Supply a configured ``runtime`` to
-    reuse its pool settings and caches, or just a ``workers`` count for
-    a throwaway runtime.
+    reuse its pool and caches, or just a ``workers`` count for a
+    throwaway runtime, whose pool is shut down before this returns.
     """
-    if runtime is None:
-        runtime = BatchRuntime(workers=workers)
-    elif workers is not None:
+    if runtime is not None and workers is not None:
         raise ValueError("pass either runtime or workers, not both")
     if isinstance(problems, np.ndarray):
         batch = ProblemBatch.single(op, problems)
     else:
         batch = ProblemBatch.mixed(op, list(problems))
-    return runtime.run(batch, **kernel_kwargs)
+    if runtime is not None:
+        return runtime.run(batch, **kernel_kwargs)
+    with BatchRuntime(workers=workers) as throwaway:
+        return throwaway.run(batch, **kernel_kwargs)

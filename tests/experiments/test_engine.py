@@ -85,6 +85,29 @@ class TestRunSpec:
         assert record["summary"]["mode"] == "sweep"
 
 
+    def test_runtime_pools_are_shut_down_with_the_sweep(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        from repro.experiments import engine
+
+        doc = small_doc(policy={"batch": 512})  # two chunks: a pooled launch
+        doc["axes"].update(op=["lu"], size=[48], approach=["runtime"])
+        spec = spec_from_dict(doc)
+        before = set(multiprocessing.active_children())
+        assert run_spec(spec, tmp_path / "ok", workers=2).ok
+        assert set(multiprocessing.active_children()) == before
+
+        def broken_journal(path, entry):
+            raise OSError("journal write failed")
+
+        monkeypatch.setattr(engine, "_append_journal", broken_journal)
+        # The held traceback keeps the failed sweep's frame alive.
+        with pytest.raises(OSError, match="journal write failed") as failure:
+            run_spec(spec, tmp_path / "failed", workers=2)
+        assert set(multiprocessing.active_children()) == before
+        assert failure.traceback
+
+
 def spec_cells(spec):
     from repro.experiments import expand_cells
 

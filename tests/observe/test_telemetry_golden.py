@@ -69,7 +69,7 @@ def run_scenario(root: Path):
     from repro.observe import tracing
     from repro.resilience import FaultSpec, batch_fingerprint
     from repro.runtime import BatchRuntime, ProblemBatch, plan_chunks
-    from repro.runtime.executor import _execute_chunk
+    from repro.runtime.executor import Switches, _execute_chunk
 
     matrices = diagonally_dominant_batch(32, 6, seed=0)
     matrices[3] = 0.0  # planted singular victims -> quarantine
@@ -109,7 +109,11 @@ def run_scenario(root: Path):
             for index in (0, 2):
                 chunk = chunks[index]
                 outcome = _execute_chunk(
-                    "lu", matrices[chunk.start : chunk.stop], kwargs, False
+                    "lu",
+                    matrices[chunk.start : chunk.stop],
+                    kwargs,
+                    False,
+                    Switches.current(),
                 )
                 resumable.checkpoint.record(fingerprint, index, outcome)
             resumable.run(batch)

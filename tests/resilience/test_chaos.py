@@ -9,7 +9,8 @@ CI's ``chaos`` job runs this module across a seed x fault-kind matrix::
 ``hang`` / ``corrupt`` / ``truncate`` / ``all``, the default); the JSON
 report written to ``REPRO_CHAOS_REPORT`` records, per scenario, the
 recovery events observed and whether the output was bitwise-identical to
-the unfaulted serial run.
+the unfaulted serial run.  The pool scenarios run a clean, a faulted and
+a clean launch on one runtime, so recovery is also shown on a kept pool.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.kernels.batched import diagonally_dominant_batch
 from repro.model.flops import lu_flops
 from repro.observe import metrics as metrics_mod
 from repro.resilience import FaultSpec, RetryPolicy
+from repro.resilience.faults import resolve_faults
 from repro.runtime import BatchRuntime, ProblemBatch
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -103,31 +105,51 @@ def _resilience_events(registry):
     return {name: registry.sum_series(name) for name in names}
 
 
+#: Scenarios whose fault kills the pool; the others keep it.
+REBUILDS = {"kill", "hang"}
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_fault_recovery_is_bitwise(name, metrics_registry):
+    """Clean, faulted, clean: three launches on one runtime's kept pool."""
     if not _selected(name):
         pytest.skip(f"REPRO_CHAOS_KIND={KIND} excludes {name}")
     spec, policy = SCENARIOS[name]
     matrices = diagonally_dominant_batch(BATCH, N, seed=SEED)
     ref = _reference(matrices)
-    report = BatchRuntime(
+    batch = ProblemBatch.single("lu", matrices)
+    reports, pools = [], []
+    with BatchRuntime(
         workers=2,
         chunk_cost=CHUNK_COST,
         use_caches=False,
-        faults=spec,
         retry_policy=policy,
-    ).run(ProblemBatch.single("lu", matrices))
-    identical = bool(np.array_equal(report.output, ref.output))
-    counters_equal = report.counters.snapshot() == ref.counters.snapshot()
+    ) as runtime:
+        for faults in (None, resolve_faults(spec), None):
+            runtime.faults = faults
+            reports.append(runtime.run(batch))
+            pools.append({proc.pid for proc in runtime._pool.processes})
+    identical = all(np.array_equal(r.output, ref.output) for r in reports)
+    counters_equal = all(
+        r.counters.snapshot() == ref.counters.snapshot() for r in reports
+    )
+    # The last launch runs on the pool the fault left behind: rebuilt
+    # after a kill or a hang, the same one after a crash or corruption.
+    rebuilt = pools[1].isdisjoint(pools[0])
+    same_pool = pools[2] == pools[1] and rebuilt == (name in REBUILDS)
     _record(
         name,
         identical=identical,
         counters_equal=counters_equal,
-        mode=report.mode,
+        same_pool=same_pool,
+        modes=[r.mode for r in reports],
         events=_resilience_events(metrics_registry),
-        passed=identical and counters_equal,
+        passed=identical and counters_equal and same_pool,
     )
     assert identical and counters_equal
+    assert [r.mode for r in reports] == ["process"] * 3
+    assert all(len(pids) == 2 for pids in pools)
+    assert same_pool, pools
 
 
 def test_truncated_checkpoint_recovers(tmp_path, metrics_registry):

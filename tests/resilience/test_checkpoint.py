@@ -15,7 +15,7 @@ from repro.model.flops import lu_flops
 from repro.observe import metrics as metrics_mod
 from repro.resilience import CheckpointStore, FaultSpec, batch_fingerprint
 from repro.runtime import BatchRuntime, ProblemBatch, plan_chunks
-from repro.runtime.executor import _execute_chunk
+from repro.runtime.executor import Switches, _execute_chunk
 
 CHUNK_COST = lu_flops(6) * 8
 
@@ -45,7 +45,7 @@ def _journal_some(runtime, batch, matrices, indices):
     for index in indices:
         chunk = chunks[index]
         outcome = _execute_chunk(
-            "lu", matrices[chunk.start : chunk.stop], kwargs, False
+            "lu", matrices[chunk.start : chunk.stop], kwargs, False, Switches.current()
         )
         runtime.checkpoint.record(fingerprint, index, outcome)
     return fingerprint, chunks
@@ -131,7 +131,7 @@ class TestResume:
             faults=FaultPlan((FaultSpec(kind="truncate", chunks=(0,)),)),
         )
         matrices = diagonally_dominant_batch(8, 6, seed=4)
-        outcome = _execute_chunk("lu", matrices, {}, False)
+        outcome = _execute_chunk("lu", matrices, {}, False, Switches.current())
         store.record("fp", 0, outcome)
         assert store.resume("fp") == {}  # truncated at write -> cold miss
         assert (

@@ -5,7 +5,6 @@ faults; the fine-grained re-execution accounting drives
 :func:`supervise_pool` directly with a marker-file execute stub.
 """
 
-import multiprocessing
 import os
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from repro.resilience import (
     ChunkFailedError,
     FaultSpec,
     RetryPolicy,
+    WorkerPool,
     supervise_pool,
     supervise_serial,
 )
@@ -138,11 +138,12 @@ class TestInlineRescue:
         matrices = diagonally_dominant_batch(32, 6, seed=6)
         ref = _reference(matrices)
         policy = RetryPolicy(max_retries=1, backoff_s=0.0)
-        report = _runtime(
+        with _runtime(
             workers=2,
             retry_policy=policy,
             faults=FaultSpec(kind="crash", chunks=(0,), count=policy.max_retries + 1),
-        ).run(ProblemBatch.single("lu", matrices))
+        ) as runtime:
+            report = runtime.run(ProblemBatch.single("lu", matrices))
         assert np.array_equal(report.output, ref.output)
         assert metrics_registry.value("repro_chunk_inline_total", op="lu") == 1
 
@@ -165,6 +166,7 @@ def _stub_execute(
     marker_dir,
     fail_chunks,
     fail_below,
+    error,
     chunk_index=0,
     attempt=0,
     nchunks=1,
@@ -172,13 +174,13 @@ def _stub_execute(
 ):
     Path(marker_dir, f"exec-{chunk_index}-{attempt}-{os.getpid()}").touch()
     if chunk_index in fail_chunks and attempt < fail_below:
-        raise RuntimeError(f"stub failure on chunk {chunk_index}")
+        raise error(f"stub failure on chunk {chunk_index}")
     return _StubOutcome(value)
 
 
-def _entries(tmp_path, n, fail_chunks=(), fail_below=1):
+def _entries(tmp_path, n, fail_chunks=(), fail_below=1, error=RuntimeError):
     return [
-        (i, (i * 10, str(tmp_path), tuple(fail_chunks), fail_below))
+        (i, (i * 10, str(tmp_path), tuple(fail_chunks), fail_below, error))
         for i in range(n)
     ]
 
@@ -193,16 +195,30 @@ def _executions(tmp_path):
     return seen
 
 
+def _executing_pids(tmp_path):
+    """Pids of the processes that ran any attempt, from marker files."""
+    return {
+        int(name.split("-")[3])
+        for name in os.listdir(tmp_path)
+        if name.startswith("exec-")
+    }
+
+
+@pytest.fixture
+def pool():
+    live = WorkerPool(2, "fork")
+    yield live
+    live.close()
+
+
 class TestSuperviseAccounting:
     POLICY = RetryPolicy(max_retries=2, backoff_s=0.0)
 
-    def test_completed_chunks_never_reexecuted(self, tmp_path):
-        context = multiprocessing.get_context("fork")
+    def test_completed_chunks_never_reexecuted(self, tmp_path, pool):
         outcomes, stats = supervise_pool(
             _entries(tmp_path, 4, fail_chunks=(2,), fail_below=1),
             execute=_stub_execute,
-            mp_context=context,
-            max_workers=2,
+            pool=pool,
             policy=self.POLICY,
             nchunks=4,
         )
@@ -214,6 +230,48 @@ class TestSuperviseAccounting:
         for chunk in (0, 1, 3):
             assert executions[chunk] == {0}
         assert stats.retries == 1
+
+    def test_live_pool_comes_back_alive(self, tmp_path, pool):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        supervise_pool(
+            _entries(first, 2), execute=_stub_execute, pool=pool, policy=self.POLICY
+        )
+        workers = pool.processes
+        assert len(workers) == 2
+        outcomes, _ = supervise_pool(
+            _entries(second, 4),
+            execute=_stub_execute,
+            pool=pool,
+            policy=self.POLICY,
+            nchunks=4,
+        )
+        assert [outcomes[i].value for i in range(4)] == [0, 10, 20, 30]
+        # The second run borrowed the same workers and handed them back.
+        assert pool.processes == workers
+        assert all(proc.is_alive() for proc in workers)
+        assert _executing_pids(second) <= {proc.pid for proc in workers}
+
+    @pytest.mark.parametrize(
+        "error, raised",
+        [(RuntimeError, ChunkFailedError), (KeyboardInterrupt, KeyboardInterrupt)],
+    )
+    def test_error_exit_kills_the_borrowed_pool(self, tmp_path, pool, error, raised):
+        supervise_pool(
+            _entries(tmp_path, 2), execute=_stub_execute, pool=pool, policy=self.POLICY
+        )
+        workers = pool.processes
+        with pytest.raises(raised):
+            supervise_pool(
+                _entries(tmp_path, 3, fail_chunks=(1,), fail_below=99, error=error),
+                execute=_stub_execute,
+                pool=pool,
+                policy=RetryPolicy(max_retries=1, backoff_s=0.0),
+                nchunks=3,
+            )
+        assert pool.processes == []
+        assert not any(proc.is_alive() for proc in workers)
 
     def test_serial_supervisor_same_accounting(self, tmp_path):
         outcomes, stats = supervise_serial(

@@ -1,5 +1,13 @@
 """Sharded execution: parity with serial, merged observability, fallback."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -394,3 +402,215 @@ class TestObservableDegradation:
             )
             == 1
         )
+
+
+def _worker_pids(runtime):
+    return {proc.pid for proc in runtime._pool.processes}
+
+
+def _children():
+    """Worker processes alive in this process (see ``tests/conftest.py``)."""
+    return set(multiprocessing.active_children())
+
+
+def _lu_batch(seed, problems=40, n=12):
+    return ProblemBatch.single("lu", diagonally_dominant_batch(problems, n, seed=seed))
+
+
+class TestPoolLifecycle:
+    CHUNK_COST = lu_flops(12) * 10  # 4 chunks of the 40-problem batch
+
+    def test_launches_reuse_one_pool(self, tmp_path):
+        with _runtime(tmp_path, workers=2, chunk_cost=self.CHUNK_COST) as runtime:
+            first = runtime.run(_lu_batch(30))
+            pids = _worker_pids(runtime)
+            second = runtime.run(_lu_batch(31))
+            assert first.mode == second.mode == "process"
+            assert len(pids) == 2
+            assert _worker_pids(runtime) == pids
+
+    def test_pool_is_sized_by_workers_not_first_launch(self, tmp_path):
+        with _runtime(tmp_path, workers=3, chunk_cost=lu_flops(12) * 20) as runtime:
+            assert runtime.run(_lu_batch(32)).chunks == 2
+            assert len(_worker_pids(runtime)) == 3
+
+    def test_unsupervised_path_runs_on_the_same_pool(self, tmp_path):
+        with _runtime(
+            tmp_path, workers=2, chunk_cost=self.CHUNK_COST, resilience=False
+        ) as runtime:
+            assert runtime.run(_lu_batch(33)).mode == "process"
+            pids = _worker_pids(runtime)
+            runtime.resilience = True
+            assert runtime.run(_lu_batch(34)).mode == "process"
+            assert _worker_pids(runtime) == pids
+
+    def test_close_is_idempotent_and_the_runtime_reopens(self, tmp_path):
+        before = _children()
+        runtime = _runtime(tmp_path, workers=2, chunk_cost=self.CHUNK_COST)
+        runtime.run(_lu_batch(35))
+        pids = _worker_pids(runtime)
+        runtime.close()
+        assert _children() == before
+        runtime.close()
+        batch = _lu_batch(36)
+        report = runtime.run(batch)
+        assert report.mode == "process"
+        assert np.array_equal(report.output, per_block_lu(batch.groups[0].data).output)
+        assert _worker_pids(runtime).isdisjoint(pids)
+        runtime.close()
+        assert _children() == before
+
+    def test_with_block_and_drop_stop_the_workers(self, tmp_path):
+        before = _children()
+        with _runtime(tmp_path, workers=2, chunk_cost=self.CHUNK_COST) as runtime:
+            runtime.run(_lu_batch(37))
+            assert len(_children() - before) == 2
+        assert _children() == before
+        runtime = _runtime(tmp_path, workers=2, chunk_cost=self.CHUNK_COST)
+        runtime.run(_lu_batch(38))
+        del runtime
+        assert _children() == before
+
+    def test_throwaway_run_batched_runtime_stops_its_workers(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        before = _children()
+        matrices = diagonally_dominant_batch(512, 48, seed=39)  # 2 chunks
+        report = run_batched("lu", matrices, workers=2)
+        assert report.mode == "process"
+        assert _children() == before
+
+
+def _gone(pid):
+    """Whether process ``pid`` has exited (a zombie counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(") ")[2][:1] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+class TestKilledOwner:
+    SCRIPT = """
+import os, signal
+from repro.kernels.batched import diagonally_dominant_batch
+from repro.model.flops import lu_flops
+from repro.runtime import BatchRuntime, ProblemBatch
+
+runtime = BatchRuntime(workers=2, chunk_cost=lu_flops(6) * 8, use_caches=False)
+runtime.run(ProblemBatch.single("lu", diagonally_dominant_batch(32, 6, seed=0)))
+print(*(proc.pid for proc in runtime._pool.processes), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_idle_workers_exit_with_a_killed_owner(self, tmp_path):
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+        # A file, not a pipe: orphaned workers would hold a pipe open.
+        out = tmp_path / "pids.txt"
+        with open(out, "w") as sink:
+            code = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT], env=env, stdout=sink, timeout=120
+            ).returncode
+        pids = [int(pid) for pid in out.read_text().split()]
+        try:
+            assert code == -signal.SIGKILL
+            assert len(pids) == 2
+            deadline = time.monotonic() + 30
+            while not all(map(_gone, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(_gone, pids))
+        finally:
+            for pid in pids:
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _probe_tracer():
+    """Whether the calling process sees an active tracer (run in a worker)."""
+    from repro.observe.tracer import current_tracer
+
+    return current_tracer() is not None
+
+
+class TestWorkerSwitches:
+    """A kept worker records what each launch asks for, not what it was
+    forked with: every chunk carries the launch's switches."""
+
+    CHUNK_COST = lu_flops(12) * 10
+
+    def test_metrics_turned_on_after_the_pool_started(
+        self, tmp_path, metrics_registry
+    ):
+        batch = _lu_batch(40)
+        _runtime(tmp_path, workers=1, chunk_cost=self.CHUNK_COST).run(batch)
+        serial = metrics_registry.sum_series("repro_kernel_launches_total")
+        metrics_registry.clear()
+        with _runtime(tmp_path, workers=2, chunk_cost=self.CHUNK_COST) as runtime:
+            metrics_mod.set_metrics_enabled(False)
+            runtime.run(batch)  # the pool starts with metrics off
+            metrics_mod.set_metrics_enabled(True)
+            report = runtime.run(batch)
+        assert report.mode == "process"
+        assert serial == report.chunks
+        assert metrics_registry.sum_series("repro_kernel_launches_total") == serial
+
+    def test_untraced_launch_after_a_traced_pool_start(self, tmp_path):
+        with _runtime(tmp_path, workers=2, chunk_cost=self.CHUNK_COST) as runtime:
+            runtime.parameters()
+            with tracing():
+                assert runtime.run(_lu_batch(41)).mode == "process"
+            pids = _worker_pids(runtime)
+            report = runtime.run(_lu_batch(42))
+            assert _worker_pids(runtime) == pids
+            probes = [runtime._pool.executor().submit(_probe_tracer) for _ in range(4)]
+            assert not any(probe.result() for probe in probes)
+        assert report.mode == "process"
+        assert report.counters.snapshot() == (
+            _runtime(tmp_path, workers=1, chunk_cost=self.CHUNK_COST)
+            .run(_lu_batch(42))
+            .counters.snapshot()
+        )
+
+    def test_sanitizer_follows_each_launch(self, tmp_path):
+        from repro.analyze.sanitizer import sanitizing
+
+        batch = _lu_batch(45)
+        with _runtime(tmp_path, workers=2, chunk_cost=self.CHUNK_COST) as runtime:
+            with sanitizing(True):
+                first = runtime.run(batch)  # the pool starts sanitizing
+            plain = runtime.run(batch)
+            with sanitizing(True):
+                again = runtime.run(batch)
+        assert first.mode == plain.mode == again.mode == "process"
+        assert first.results[0].launch.sanitizer is not None
+        assert plain.results[0].launch.sanitizer is None
+        assert again.results[0].launch.sanitizer is not None
+        assert np.array_equal(plain.output, again.output)
+
+    def test_log_sink_swapped_between_launches(self, tmp_path):
+        from repro.observe import log as obslog
+
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        previous_flag = obslog.set_log_enabled(True)
+        previous_sink = obslog.set_default_logger(obslog.StructuredLogger(first))
+        try:
+            with _runtime(tmp_path, workers=2, chunk_cost=self.CHUNK_COST) as runtime:
+                one = runtime.run(_lu_batch(43))
+                obslog.set_default_logger(obslog.StructuredLogger(second))
+                two = runtime.run(_lu_batch(44))
+                pids = _worker_pids(runtime)
+        finally:
+            obslog.set_log_enabled(previous_flag)
+            obslog.set_default_logger(previous_sink)
+
+        def attempts(path):
+            return [r for r in obslog.read_log(path) if r["event"] == "worker.attempt"]
+
+        assert one.mode == two.mode == "process"
+        assert len(attempts(first)) == one.chunks
+        assert len(attempts(second)) == two.chunks
+        assert {r["pid"] for r in attempts(second)} <= pids
