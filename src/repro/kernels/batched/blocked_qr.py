@@ -87,8 +87,9 @@ def blocked_qr_factor(
     while col < n:
         nb = min(panel_width, n - col)
         # Factor the panel with the unblocked sweep (rows col..m).
-        panel = a[:, col:, col : col + nb].copy()
-        panel, panel_taus = _householder_sweep(panel, nb, fast_math)
+        panel, panel_taus = _householder_sweep(
+            a[:, col:, col : col + nb], nb, fast_math
+        )
         a[:, col:, col : col + nb] = panel
         taus[:, col : col + nb] = panel_taus
 

@@ -7,6 +7,17 @@ the reciprocal of the pivot and applies a rank-1 Schur-complement update
 -- exactly the column-operation / trailing-update split the per-block
 kernel and the Table-VI model use.
 
+Layout rule: :func:`lu_factor` sweeps a private ``(n, n, batch)`` copy
+and writes the factors back as ``(batch, n, n)``.  With the problem
+index innermost -- Section IV's one problem per thread, every lane
+running the same column step on its own matrix -- each NumPy loop runs
+over the whole batch instead of one short strided row per problem.
+The bits are those of a batch-first loop because each operation keeps
+its loop shape: the column scale multiplies through the ``(batch, r)``
+view and the rank-1 update stays an einsum outer product
+(``tests/kernels/test_reference_numerics.py`` compares the two byte
+for byte).
+
 A partial-pivoting variant (:func:`lu_factor_pivot`) is provided as the
 stability extension the paper defers; it is what MKL/MAGMA do in the
 Figure-11 comparison.
@@ -72,23 +83,25 @@ def lu_factor(
     mode = arithmetic_mode(fast_math)
     not_solved = np.zeros(batch, dtype=bool)
     one = np.asarray(1.0, dtype=a.dtype)
+    t = a.transpose(1, 2, 0).copy()  # (n, n, batch)
 
     for j in range(n - 1):
-        pivot = a[:, j, j].copy()
+        pivot = t[j, j].copy()
         singular = pivot == 0
         not_solved |= singular
         safe = np.where(singular, one, pivot)
         scale = mode.divide(one, safe)
-        # Column operation: l = A[j+1:, j] / pivot
-        a[:, j + 1 :, j] = a[:, j + 1 :, j] * scale[:, None]
+        # Column operation: l = A[j+1:, j] / pivot, multiplied through
+        # the (batch, r) view so complex products keep their bits.
+        col = t[j + 1 :, j]
+        col.T[...] = col.T * scale[:, None]
         # Trailing update: Schur complement -= outer(l, u).  einsum's
         # outer-product loop runs about twice as fast as a broadcast
         # multiply at n >= 32.
-        a[:, j + 1 :, j + 1 :] -= np.einsum(
-            "bi,bj->bij", a[:, j + 1 :, j], a[:, j, j + 1 :]
-        )
+        t[j + 1 :, j + 1 :] -= np.einsum("ib,jb->ijb", col, t[j, j + 1 :])
 
-    not_solved |= a[:, n - 1, n - 1] == 0
+    not_solved |= t[n - 1, n - 1] == 0
+    a[...] = t.transpose(2, 0, 1)
     if on_singular == "raise" and not_solved.any():
         raise SingularMatrixError(
             f"{int(not_solved.sum())} of {batch} matrices hit a zero pivot"  # noqa: RPR001 -- boolean count; integer accumulation is order-free

@@ -15,6 +15,19 @@ for each column j:
 Norms and scale factors go through the fast-math (22-mantissa-bit) path
 when ``fast_math=True``, matching the ``--use_fast_math`` builds of the
 paper.  Real and complex single/double precision are supported.
+
+Layout rule: the sweep behind :func:`qr_factor`, :func:`qr_solve` and
+least squares works on a private ``(m, k, batch)`` copy and returns
+the result as ``(batch, m, k)``.  With the problem index innermost
+(Section IV's one problem per thread), each NumPy loop runs over the
+whole batch instead of one short strided row per problem.  The bits are
+those of a batch-first loop because each reduction and complex product
+keeps its loop shape: the column norm sums a contiguous ``(batch, r)``
+copy (NumPy's pairwise sum; a sum over the batch-last axis would be a
+left fold), ``v^H A`` stays an einsum contraction, and the rank-1
+update stays a broadcast product
+(``tests/kernels/test_reference_numerics.py`` compares the two byte
+for byte).  :func:`qr_unpack` and :func:`apply_qt` loop batch-first.
 """
 
 from __future__ import annotations
@@ -75,11 +88,12 @@ def qr_factor(a: np.ndarray, fast_math: bool = True) -> QrFactors:
 def _householder_sweep(
     aug: np.ndarray, ncols: int, fast_math: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factor the first ``ncols`` columns of ``aug`` in place.
+    """Factor the first ``ncols`` columns of a copy of ``aug``.
 
     Reflector j is applied to *all* trailing columns of ``aug`` --
     including any right-hand sides appended past ``ncols`` (the
-    least-squares trick of Section III-D).  Returns (aug, taus).
+    least-squares trick of Section III-D).  Returns the factored
+    ``(batch, m, k)`` array and the taus; ``aug`` is left as it was.
     """
     batch, m, _ = aug.shape
     dtype = aug.dtype
@@ -87,12 +101,15 @@ def _householder_sweep(
     mode = arithmetic_mode(fast_math)
     taus = np.zeros((batch, ncols), dtype=dtype)
     complex_input = np.iscomplexobj(aug)
+    t = aug.transpose(1, 2, 0).copy()  # (m, k, batch)
 
     steps = ncols if m > ncols else ncols - 1  # no reflector for a 1-row tail
     for j in range(steps):
-        x = aug[:, j:, j]
-        alpha = x[:, 0].copy()
-        norm = _column_norms(x, mode)
+        x = t[j:, j]
+        alpha = x[0].copy()
+        # A contiguous (batch, r) copy keeps NumPy's pairwise sum; a sum
+        # over the batch-last axis would be a plain left fold.
+        norm = _column_norms(np.ascontiguousarray(x.T), mode)
         live = norm != 0  # zero columns keep tau = 0
 
         sign = np.where(alpha.real >= 0, 1.0, -1.0).astype(real_dtype)
@@ -103,21 +120,21 @@ def _householder_sweep(
         taus[:, j] = tau
 
         # v = x / (alpha - beta), v0 = 1 implicit.
-        v = mode.divide(x, denom[:, None]).astype(dtype)
-        v[:, 0] = 1
+        v = mode.divide(x, denom).astype(dtype)
+        v[0] = 1
         if not complex_input:
             v = v.real.astype(dtype)
 
         # Trailing update (and appended RHS columns) applies H^H =
         # I - conj(tau) v v^H, so that R = Q^H A with Q = H_0 ... H_{k-1}.
-        trailing = aug[:, j:, j + 1 :]
-        w = np.einsum("bi,bij->bj", v.conj(), trailing)  # noqa: RPR001 -- contracts a fixed per-problem axis; chunking the batch cannot reorder it
-        trailing -= tau.conj()[:, None, None] * v[:, :, None] * w[:, None, :]
+        trailing = t[j:, j + 1 :]
+        w = np.einsum("ib,ijb->jb", v.conj(), trailing)  # noqa: RPR001 -- contracts a fixed per-problem axis; chunking the batch cannot reorder it
+        trailing -= (tau.conj() * v)[:, None, :] * w[None, :, :]
 
         # Store the packed factor: beta on the diagonal, v below it.
-        aug[:, j, j] = np.where(live, beta.astype(dtype), alpha)
-        aug[:, j + 1 :, j] = np.where(live[:, None], v[:, 1:], x[:, 1:])
-    return aug, taus
+        t[j, j] = np.where(live, beta.astype(dtype), alpha)
+        t[j + 1 :, j] = np.where(live, v[1:], x[1:])
+    return np.ascontiguousarray(t.transpose(2, 0, 1)), taus
 
 
 def qr_unpack(factors: QrFactors) -> np.ndarray:

@@ -42,7 +42,7 @@ def _sweep(stacked: np.ndarray, ncols: int, carried, fast_math: bool):
                 f"carried RHS shape {c.shape} does not match tile {stacked.shape}"
             )
         stacked = np.concatenate([stacked, c], axis=2)
-    swept, taus = _householder_sweep(stacked.copy(), ncols, fast_math)
+    swept, taus = _householder_sweep(stacked, ncols, fast_math)
     carried_out = swept[:, :, ncols:] if carried is not None else None
     return swept[:, :, :ncols], taus, carried_out
 

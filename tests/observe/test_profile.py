@@ -226,6 +226,49 @@ class TestDecomposition:
         assert p["transfer"] == pytest.approx(0.1)
         assert sum(p.values()) == pytest.approx(1.0)
 
+    def test_batch_wall_brackets_the_launch_wall(self):
+        # A three-worker launch of six chunks.  The runtime clocks
+        # report.wall_s from the execute start to the end of quarantine
+        # (here [0.002, 0.055]); the batch span adds the plan and the
+        # merge window, which stay within half of that.
+        events = [
+            _span("batch", 0.0, 0.060, "b"),
+            _span("plan", 0.0, 0.002, "b/plan", "b"),
+            _span("execute", 0.002, 0.052, "b/execute", "b"),
+            _span("merge", 0.054, 0.006, "b/merge", "b"),
+        ]
+        for index in range(6):
+            start = 0.002 + 0.001 * index
+            begin = start + 0.001 + 0.023 * (index // 3)
+            chunk = f"b/chunk:{index}"
+            events += [
+                _span(
+                    "chunk",
+                    start,
+                    begin + 0.023 - start,
+                    chunk,
+                    "b/execute",
+                    chunk=index,
+                ),
+                _span("submit", start, 0.001, f"{chunk}/submit:0", chunk, chunk=index),
+                _span(
+                    "attempt",
+                    begin,
+                    0.022,
+                    f"{chunk}/attempt:0",
+                    chunk,
+                    chunk=index,
+                    worker=11 + index % 3,
+                ),
+            ]
+        (root,) = build_span_trees(events)
+        profile = compute_profile(root)
+        launch_wall = 0.055 - 0.002
+        assert profile.wall_s == pytest.approx(0.060)
+        assert sum(profile.phases.values()) == pytest.approx(profile.wall_s)
+        assert launch_wall <= profile.wall_s <= launch_wall * 1.5
+        assert profile.coverage > 0.5
+
     def test_straggler_index_is_max_over_median(self):
         (root,) = build_span_trees(_batch_events())
         profile = compute_profile(root)

@@ -102,10 +102,13 @@ class TestReportProfile:
         profile = report.profile
         assert profile is not None
         assert sum(profile.phases.values()) == pytest.approx(profile.wall_s, rel=1e-6)
-        # The span-tree wall brackets the reported wall: report.wall_s
-        # is clocked up to the merge, the batch span also covers it.
-        assert report.wall_s <= profile.wall_s <= report.wall_s * 1.5
-        assert profile.coverage > 0.5
+        # The batch span encloses the reported wall: report.wall_s is
+        # clocked up to the merge, the batch span also covers it.  How
+        # much wider it is depends on the host's load, so the bracket
+        # and the coverage floor are checked on a scripted trace
+        # (tests/observe/test_profile.py).
+        assert report.wall_s <= profile.wall_s
+        assert profile.phases["compute"] > 0
 
     def test_critical_path_resolves_to_a_real_chunk(self, tmp_path):
         matrices = diagonally_dominant_batch(40, 12, seed=8)
