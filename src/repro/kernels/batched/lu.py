@@ -33,7 +33,7 @@ import numpy as np
 from ...errors import SingularMatrixError
 from ._arith import arithmetic_mode
 from .trsm import solve_lower_unit, solve_upper
-from .validate import as_batch, check_square_batch
+from .validate import as_batch, batch_last, check_square_batch
 
 __all__ = [
     "LuResult",
@@ -83,7 +83,7 @@ def lu_factor(
     mode = arithmetic_mode(fast_math)
     not_solved = np.zeros(batch, dtype=bool)
     one = np.asarray(1.0, dtype=a.dtype)
-    t = a.transpose(1, 2, 0).copy()  # (n, n, batch)
+    t = batch_last(a)  # (n, n, batch)
 
     for j in range(n - 1):
         pivot = t[j, j].copy()

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._arith import arithmetic_mode
 from .trsm import solve_upper
-from .validate import as_batch, check_tall_batch
+from .validate import as_batch, batch_last, check_tall_batch
 
 __all__ = [
     "QrFactors",
@@ -101,7 +101,7 @@ def _householder_sweep(
     mode = arithmetic_mode(fast_math)
     taus = np.zeros((batch, ncols), dtype=dtype)
     complex_input = np.iscomplexobj(aug)
-    t = aug.transpose(1, 2, 0).copy()  # (m, k, batch)
+    t = batch_last(aug)  # (m, k, batch)
 
     steps = ncols if m > ncols else ncols - 1  # no reflector for a 1-row tail
     for j in range(steps):

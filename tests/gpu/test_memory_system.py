@@ -83,10 +83,19 @@ class TestChaseLatency:
         assert r.avg_latency_cycles <= QUADRO_6000.l2_latency * 1.1
 
     def test_invalid_args_rejected(self, ms):
+        from repro.microbench import measure_global_latency
+
         with pytest.raises(ValueError):
             ms.chase(0, 1024)
         with pytest.raises(ValueError):
             ms.chase(1, 0)
+        for hops in (0, -1):
+            with pytest.raises(ValueError):
+                ms.chase(32, 1 << 20, hops=hops)
+        with pytest.raises(ValueError):
+            ms.chase(32, 1 << 20, hops=10, warmup=-5)
+        with pytest.raises(ValueError):
+            measure_global_latency(QUADRO_6000, 32, hops=0)
 
 
 class TestBlockTransfer:

@@ -18,7 +18,9 @@ from repro.kernels.batched import (
     triangular_error,
 )
 from repro.kernels.batched.validate import (
+    COPY_BLOCK,
     as_batch,
+    batch_last,
     check_square_batch,
     check_tall_batch,
 )
@@ -60,6 +62,22 @@ class TestAsBatch:
             check_square_batch(np.zeros((1, 3, 4)))
         with pytest.raises(ShapeError):
             check_tall_batch(np.zeros((1, 3, 4)))
+
+
+class TestBatchLast:
+    @pytest.mark.parametrize(
+        "batch", [1, COPY_BLOCK - 1, COPY_BLOCK, COPY_BLOCK + 1, 2 * COPY_BLOCK + 2]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+    def test_same_bytes_as_a_whole_transpose(self, batch, dtype):
+        a = random_batch(batch, 5, 3, dtype=dtype, seed=batch)
+        a[0, 0, 0] = np.nan
+        for src in (a, a[:, ::-1, 1:]):  # contiguous and strided inputs
+            out = batch_last(src)
+            want = src.transpose(1, 2, 0).copy()
+            assert out.flags.c_contiguous and out.dtype == src.dtype
+            assert out.shape == want.shape
+            assert out.tobytes() == want.tobytes()
 
 
 class TestErrorMetrics:

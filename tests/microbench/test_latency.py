@@ -68,6 +68,12 @@ FIG1_CHASES = (
     (524288, 512, 630.0, 0.0, 0.0, 0.0, 0.0),
 )
 
+#: Every ``ChaseResult`` field of :func:`plateau_latency`'s chase (stride
+#: 2048 words, 1024 measured hops after a 1024-hop warmup), the one walk
+#: that calibration runs; and Table III's "Global memory" value.
+PLATEAU_CHASE = (2048, 1024, 577.5, 0.0, 0.0, 0.0, 0.875)
+TABLE3_GLOBAL = 577.5
+
 
 class TestGlobalLatency:
     def test_default_sweep_is_pinned(self):
@@ -78,6 +84,16 @@ class TestGlobalLatency:
 
     def test_plateau_near_570(self):
         assert plateau_latency(QUADRO_6000) == pytest.approx(570, rel=0.02)
+
+    def test_plateau_chase_is_pinned(self):
+        from repro.gpu import MemorySystem
+        from repro.microbench.global_latency import DEFAULT_ARRAY_WORDS
+        from repro.reporting import run_experiment
+
+        chase = MemorySystem(QUADRO_6000).chase(2048, DEFAULT_ARRAY_WORDS, hops=1024)
+        assert dataclasses.astuple(chase) == PLATEAU_CHASE
+        assert plateau_latency(QUADRO_6000) == PLATEAU_CHASE[2]
+        assert run_experiment("table3").data["Global memory"] == TABLE3_GLOBAL
 
     def test_sweep_is_broadly_increasing(self):
         sweep = sweep_global_latency(

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.reporting import list_experiments, run_experiment
+from repro.observe import tracing
+from repro.reporting import experiments, list_experiments, run_experiment
 from repro.reporting.experiments import EXPERIMENTS
 from repro.reporting.export import _jsonable
 
@@ -40,6 +41,22 @@ class TestRegistry:
         assert res.data
         # The simulated fixed point: the data is bitwise the golden's.
         assert json.loads(json.dumps(_jsonable(res.data))) == golden[eid]
+
+
+class TestCalibration:
+    def test_all_artefacts_calibrate_once(self):
+        # Six artefacts use Table IV's parameters; like the paper, the
+        # suite measures them once per device.  Each artefact gets its own
+        # tracer so no calibrate span falls out of a full ring buffer.
+        experiments._params.cache_clear()
+        spans = 0
+        for eid in list_experiments():
+            with tracing() as tracer:
+                run_experiment(eid)
+            spans += sum(e.name == "calibrate" and e.ph == "X" for e in tracer.events)
+        assert spans == 1
+        info = experiments._params.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
 
 
 class TestArtefactBands:
