@@ -121,6 +121,8 @@ class MemorySystem:
             raise ValueError("need at least one measured hop")
         if warmup is not None and warmup < 0:
             raise ValueError("warmup must be non-negative")
+        if word_bytes < 1:
+            raise ValueError("word_bytes must be positive")
         stride_bytes = stride_words * word_bytes
         array_bytes = array_words * word_bytes
         steps_per_wrap = max(1, array_bytes // max(1, stride_bytes))

@@ -40,7 +40,11 @@ it runs once inside :meth:`BlockEngine.fold`, its charges taking one
 array of values per step, and each accumulator adds those up with
 :func:`numpy.cumsum` in charge order.  So the fixed cost of a launch,
 not the cost of a charge, sets the host time of ``PerBlockApproach``
-sweeps.
+sweeps.  Traced device launches step each shape's program once, under
+a recording tracer, and every traced launch of that shape replays the
+recorded trace tape (:class:`~repro.observe.tracer.TraceTape`) onto its
+tracer (:func:`repro.kernels.device.base.launch`); the sanitizer and an
+engine-factory override still step on the live engine.
 """
 
 from __future__ import annotations

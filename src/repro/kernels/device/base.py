@@ -19,19 +19,29 @@ on a fresh block; :func:`launch` runs it once per (program, shape, dtype,
 flags, block config, device) and hands every later launch of that shape
 a copy of the memoized :class:`~repro.gpu.simt.LaunchResult`.
 
-Whether a launch is *observed* (:func:`observed`) -- under a tracer, with
+Whether a block is *observed* (:func:`observed`) -- under a tracer, with
 the sanitizer on, or with a :func:`block_engine_factory` override --
-decides how it runs.  An observed launch bypasses the memo and steps
-through each column loop (:meth:`BlockKernel.steps`) on the engine, so
-traces, sanitizer reports and certifier tapes see every event.  Any
-other launch runs each loop body once on arrays of per-step values and
-folds the charges in charge order (:meth:`~repro.gpu.simt.BlockEngine.fold`):
-the same bits at a few NumPy calls per loop.
+decides how its program runs.  An observed block steps through each
+column loop (:meth:`BlockKernel.steps`) on the engine, so traces,
+sanitizer reports and certifier tapes see every event.  Any other block
+runs each loop body once on arrays of per-step values and folds the
+charges in charge order (:meth:`~repro.gpu.simt.BlockEngine.fold`): the
+same bits at a few NumPy calls per loop.
+
+A traced launch still takes the memo.  Its entry also holds the
+launch's **trace tape** (:class:`~repro.observe.tracer.TraceTape`),
+recorded the first time the shape runs under a tracer by stepping the
+program once under a recording tracer; every traced launch, that first
+one included, replays the tape onto the live tracer, which ends in the
+state stepping would have left it in.  Launches with the sanitizer on or
+a :func:`block_engine_factory` override need the live engine, so they
+bypass the memo and step.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Dict, Iterator, Optional
@@ -45,7 +55,7 @@ from ...gpu.simt import BlockEngine, LaunchResult
 from ...model.block_config import BlockConfig, block_config
 from ...observe.counters import CounterRegistry
 from ...observe.metrics import counter_inc
-from ...observe.tracer import current_tracer
+from ...observe.tracer import TraceTape, current_tracer, record_tape
 
 __all__ = [
     "BlockKernel",
@@ -275,9 +285,17 @@ class BlockKernel:
             self.engine.charge_global(self._matrix_bytes(), kind="copy")
 
 
+@dataclasses.dataclass
+class _Memo:
+    """A memoized launch and, once a traced launch has run, its trace tape."""
+
+    launch: LaunchResult
+    tape: Optional[TraceTape] = None
+
+
 #: Memoized cost-program launches; see :func:`launch`.  The key set is a
 #: handful of shapes per process, so the memo needs no bound.
-_LAUNCHES: Dict[tuple, LaunchResult] = {}
+_LAUNCHES: Dict[tuple, _Memo] = {}
 
 
 def _own_copy(cached: LaunchResult) -> LaunchResult:
@@ -332,29 +350,40 @@ def launch(
 
     The :func:`run_program` launch is memoized per (program, m, n, dtype,
     fast_math, account_overhead, resolved config, device, flops, params);
-    each caller gets its own copy of the mutable fields.  An observed
-    launch (:func:`observed`) runs the program fresh, so every observer
-    sees the full event stream.  The launch metrics count every call,
-    with the real batch ``output.shape[0]``.
+    each caller gets its own copy of the mutable fields.  Under a tracer
+    the entry also keeps the launch's trace tape, recorded on the first
+    traced launch of the key, and every traced launch replays it onto the
+    tracer.  With the sanitizer on or a :func:`block_engine_factory`
+    override the program runs fresh on the live engine.  The launch
+    metrics count every call, with the real batch ``output.shape[0]``.
     """
     dtype = np.dtype(dtype)
     cfg = config or block_config(m, n, complex_dtype=dtype.kind == "c")
-    fresh = observed()
-    key = (
-        program, m, n, dtype, fast_math, account_overhead, cfg, device,
-        flops_per_problem, tuple(sorted(params.items())),
+    run = functools.partial(
+        run_program, program, m, n, dtype, flops_per_problem=flops_per_problem,
+        params=params, device=device, config=cfg, fast_math=fast_math,
+        account_overhead=account_overhead,
     )
-    result = None if fresh else _LAUNCHES.get(key)
-    if result is None:
-        result = run_program(
-            program, m, n, dtype, flops_per_problem=flops_per_problem,
-            params=params, device=device, config=cfg, fast_math=fast_math,
-            account_overhead=account_overhead,
+    if sanitize_enabled() or _ENGINE_FACTORY.get() is not None:
+        result = run()
+    else:
+        key = (
+            program, m, n, dtype, fast_math, account_overhead, cfg, device,
+            flops_per_problem, tuple(sorted(params.items())),
         )
-        if not fresh:
-            _LAUNCHES[key] = result
-    if not fresh:
-        result = _own_copy(result)
+        memo = _LAUNCHES.get(key)
+        tracer = current_tracer()
+        if tracer is not None and (memo is None or memo.tape is None):
+            # Stepped and folded launches are equal bit for bit, so an
+            # entry keeps whichever launch filled it first.
+            stepped, tape = record_tape(run)
+            memo = _LAUNCHES.setdefault(key, _Memo(stepped))
+            memo.tape = tape
+        elif memo is None:
+            memo = _LAUNCHES[key] = _Memo(run())
+        if tracer is not None:
+            memo.tape.replay(tracer)
+        result = _own_copy(memo.launch)
     batch = output.shape[0]
     counter_inc("repro_kernel_launches_total", m=m, n=n, threads=cfg.threads)
     counter_inc("repro_kernel_problems_total", batch)

@@ -57,10 +57,12 @@ from .tracer import (
     Event,
     Span,
     Tracer,
+    TraceTape,
     add_counter,
     current_tracer,
     instant,
     observe_counter,
+    record_tape,
     set_tracer,
     span,
     tracing,
@@ -73,11 +75,13 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "Event",
     "Span",
+    "TraceTape",
     "Tracer",
     "add_counter",
     "current_tracer",
     "instant",
     "observe_counter",
+    "record_tape",
     "set_tracer",
     "span",
     "tracing",

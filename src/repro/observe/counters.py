@@ -21,6 +21,10 @@ A registry aggregates three ways at once:
 
 The registry is plain dictionaries and floats: cheap enough that the
 :class:`~repro.gpu.simt.BlockEngine` keeps one per launch unconditionally.
+
+A :class:`CounterTape` is what one run added to a registry, recorded by
+a :class:`RecordingRegistry` and replayed onto any registry with the
+bits those adds leave there (see :class:`~repro.observe.tracer.TraceTape`).
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from contextlib import contextmanager
+from functools import reduce
+from operator import add as _plus
 from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-__all__ = ["CounterStat", "CounterRegistry"]
+__all__ = ["CounterStat", "CounterRegistry", "CounterTape", "RecordingRegistry"]
 
 
 @dataclasses.dataclass
@@ -214,3 +220,110 @@ class CounterRegistry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{k}={v.total:g}" for k, v in sorted(self._stats.items()))
         return f"CounterRegistry({parts})"
+
+
+def _unrecorded(entry: str) -> TypeError:
+    return TypeError(f"a recording registry does not record {entry}()")
+
+
+class RecordingRegistry(CounterRegistry):
+    """A registry that records each add, with its stage, for a
+    :class:`CounterTape`.
+
+    :meth:`add` appends ``(stage, name, value)`` -- ``stage`` the
+    innermost open :meth:`stage` or ``None`` -- and aggregates nothing.
+    The entry points a tape cannot replay raise, so new instrumentation
+    cannot silently fall off a tape.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.adds: list[tuple[Optional[str], str, float]] = []
+
+    def add(self, name: str, value: float = 1.0) -> None:
+        stack = self._stage_stack
+        self.adds.append((stack[-1] if stack else None, name, value))
+
+    def observe(self, name: str, values) -> None:
+        raise _unrecorded("observe")
+
+    def add_aggregate(self, name, total, events=1, maximum=None) -> None:
+        raise _unrecorded("add_aggregate")
+
+    def merge(self, other, prefix: str = "") -> None:
+        raise _unrecorded("merge")
+
+
+def _folds(adds) -> list:
+    """Per counter, in first-add order: its values in charge order, and
+    the total, count and maximum those values give a fresh statistic."""
+    values: Dict[str, list] = {}
+    for _, name, value in adds:
+        values.setdefault(name, []).append(value)
+    folds = []
+    for name, run in values.items():
+        fresh = CounterStat()
+        for value in run:
+            fresh.add(value)
+        folds.append((name, tuple(run), fresh.total, fresh.count, fresh.maximum))
+    return folds
+
+
+def _replay_folds(stats: Dict[str, CounterStat], folds: list) -> None:
+    """Add each fold to its statistic as one add per value would."""
+    for name, values, total, count, maximum in folds:
+        stat = stats.get(name)
+        if stat is None:
+            stats[name] = CounterStat(total, count, maximum)
+            continue
+        stat.total = reduce(_plus, values, stat.total)  # a left fold
+        stat.count += count
+        if maximum > stat.maximum:
+            stat.maximum = maximum
+
+
+class CounterTape:
+    """The adds one run made on a registry, replayable onto any other.
+
+    ``adds`` are a :class:`RecordingRegistry`'s ``(stage, name, value)``
+    records in charge order.  :meth:`replay` leaves a registry exactly as
+    those adds would -- totals, counts, maxima and the creation order of
+    counters and stages -- but folds each counter's values at once: the
+    values added left to right onto the running total, the count and the
+    maximum added once.  Adds recorded outside any stage credit the
+    registry's open stage, as they would have.
+    """
+
+    __slots__ = ("adds", "_flat", "_staged", "_stages")
+
+    def __init__(self, adds: list) -> None:
+        self.adds = adds
+        self._flat = _folds(adds)
+        by_stage: Dict[Optional[str], list] = {}
+        for record in adds:
+            by_stage.setdefault(record[0], []).append(record)
+        self._staged = [(stage, _folds(run)) for stage, run in by_stage.items()]
+        self._stages = frozenset(stage for stage in by_stage if stage is not None)
+
+    def replay(self, registry: CounterRegistry) -> None:
+        """Add the recorded adds to ``registry``."""
+        stack = registry._stage_stack
+        open_stage = stack[-1] if stack else None
+        if open_stage in self._stages:
+            # The open stage shares a recorded stage's statistics, so the
+            # two runs of adds interleave: replay them one by one.
+            for stage, name, value in self.adds:
+                if stage is None:
+                    registry.add(name, value)
+                else:
+                    stack.append(stage)
+                    registry.add(name, value)
+                    stack.pop()
+            return
+        _replay_folds(registry._stats, self._flat)
+        for stage, folds in self._staged:
+            if stage is None:
+                if open_stage is None:
+                    continue
+                stage = open_stage
+            _replay_folds(registry._by_stage.setdefault(stage, {}), folds)

@@ -19,6 +19,11 @@ block's cycle clock; events from outside the engine (pipeline stages,
 microbenchmarks, dispatch decisions) draw from the tracer's own monotonic
 tick so a single trace stays ordered.  The Chrome exporter emits the
 numbers verbatim -- one trace "microsecond" is one cycle or one tick.
+
+A :class:`TraceTape` is what one run did to its tracer, recorded by
+:func:`record_tape` and replayed onto any later tracer with the effect
+the run itself would have had there.  The device kernels record a
+launch's tape once per shape and replay it on every traced launch.
 """
 
 from __future__ import annotations
@@ -29,16 +34,18 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from typing import Any, Dict, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple, TypeVar
 
-from .counters import CounterRegistry
+from .counters import CounterRegistry, CounterTape, RecordingRegistry
 
 __all__ = [
     "ClockOrigin",
     "Event",
     "Span",
+    "TraceTape",
     "Tracer",
     "current_tracer",
+    "record_tape",
     "set_tracer",
     "tracing",
     "span",
@@ -306,6 +313,119 @@ class Tracer:
             f"Tracer({len(self.events)}/{self.capacity} events, "
             f"{self.dropped} dropped, {len(self.counters)} counters)"
         )
+
+
+# ----------------------------------------------------------------------
+# Trace tapes
+# ----------------------------------------------------------------------
+class _Recorder(Tracer):
+    """A tracer that records its calls for a :class:`TraceTape`.
+
+    It records :meth:`complete` and :meth:`instant` calls and, through a
+    :class:`~repro.observe.counters.RecordingRegistry`, counter adds;
+    every other recording entry point raises, so new instrumentation
+    cannot silently fall off a tape.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counters = RecordingRegistry()
+        #: ``(ph, name, category, ts, dur, args)`` per call, in call order.
+        self.calls: list = []
+
+    def complete(self, name, category, ts=None, dur=0.0, **args) -> None:
+        self.calls.append(("X", name, category, ts, dur, args or None))
+
+    def instant(self, name, category="mark", ts=None, **args) -> None:
+        self.calls.append(("i", name, category, ts, 0.0, args or None))
+
+    def counter(self, name, value, ts=None) -> None:
+        raise TypeError("a trace tape does not record counter()")
+
+    def span(self, name, category="span", ts=None, **args):
+        raise TypeError("a trace tape does not record span()")
+
+    def ingest(self, events, dropped=0, clock=None, **tags) -> int:
+        raise TypeError("a trace tape does not record ingest()")
+
+
+class TraceTape:
+    """The calls one run made on its tracer, replayable onto any tracer.
+
+    Built by :func:`record_tape`.  :meth:`replay` leaves a tracer in the
+    state the recorded calls would have left it in:
+
+    * an event stamped with its own timestamp (the engine's cycle
+      clock) is the recorded :class:`Event`, appended in order; the
+      tracer's clock advances to the latest end;
+    * an event stamped on the tracer's tick clock is rebuilt in its
+      place in the order, on the live tick clock;
+    * ring-buffer overflow counts into :attr:`Tracer.dropped` as one
+      emit per event would;
+    * counter adds replay through a
+      :class:`~repro.observe.counters.CounterTape`.
+    """
+
+    __slots__ = ("segments", "size", "counters")
+
+    def __init__(self, calls: list, counters: CounterTape) -> None:
+        #: ``(events, end, tick)`` per run of self-stamped events: the
+        #: events, their largest ``ts + dur`` (the first of equals), and
+        #: the tick-stamped call that ends the run, or ``None``.
+        self.segments: list = []
+        events: list = []
+        end = float("-inf")
+        for ph, name, category, ts, dur, args in calls:
+            if ts is None:
+                tick = (ph, name, category, dur, args)
+                self.segments.append((tuple(events), end, tick))
+                events, end = [], float("-inf")
+                continue
+            events.append(Event(name, category, ph, float(ts), float(dur), args))
+            if ts + dur > end:
+                end = ts + dur
+        if events:
+            self.segments.append((tuple(events), end, None))
+        self.size = len(calls)
+        self.counters = counters
+
+    def replay(self, tracer: Tracer) -> None:
+        """Apply the recorded calls to ``tracer``."""
+        events = tracer.events
+        overflow = len(events) + self.size - tracer.capacity
+        clock = tracer._ts
+        for run, end, tick in self.segments:
+            if run:
+                events.extend(run)
+                if end > clock:
+                    clock = end
+            if tick is not None:
+                ph, name, category, dur, args = tick
+                clock += 1.0
+                events.append(Event(name, category, ph, clock, float(dur), args))
+                stop = clock + dur
+                if stop > clock:
+                    clock = stop
+        tracer._ts = clock
+        if overflow > 0:
+            tracer.dropped += overflow
+        self.counters.replay(tracer.counters)
+
+
+_T = TypeVar("_T")
+
+
+def record_tape(run: Callable[[], _T]) -> Tuple[_T, TraceTape]:
+    """Call ``run`` under a recording tracer; return its result and tape.
+
+    The :class:`TraceTape` holds ``run``'s calls on the tracer.  The
+    recording tracer stands in for the active one during the call, so
+    nothing else observes what it records.
+    """
+    recorder = _Recorder()
+    with tracing(recorder):
+        result = run()
+    return result, TraceTape(recorder.calls, CounterTape(recorder.counters.adds))
 
 
 # ----------------------------------------------------------------------

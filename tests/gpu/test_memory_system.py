@@ -94,6 +94,9 @@ class TestChaseLatency:
                 ms.chase(32, 1 << 20, hops=hops)
         with pytest.raises(ValueError):
             ms.chase(32, 1 << 20, hops=10, warmup=-5)
+        for word_bytes in (0, -4):
+            with pytest.raises(ValueError, match="word_bytes"):
+                ms.chase(32, 1 << 20, hops=10, word_bytes=word_bytes)
         with pytest.raises(ValueError):
             measure_global_latency(QUADRO_6000, 32, hops=0)
 

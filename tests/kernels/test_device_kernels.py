@@ -403,6 +403,8 @@ class TestCostProgramMemo:
 
     def test_hit_equals_miss_traced_and_sanitized(self, info, memo):
         from repro.analyze import sanitizing
+        from repro.gpu import BlockEngine
+        from repro.kernels.device.base import block_engine_factory
         from repro.observe import tracing
 
         args = info.sample(9, 31, 3)
@@ -411,15 +413,28 @@ class TestCostProgramMemo:
         hit = info.call(*args).launch
         with tracing() as tracer:
             traced = info.call(*args).launch
+        # The traced launch records its trace tape into the same entry.
+        assert len(memo) == 1 and next(iter(memo.values())).tape is not None
+        with tracing() as reference:
+            with block_engine_factory(BlockEngine):
+                stepped = info.call(*args).launch
+        entry = dict(memo)
         with sanitizing(True):
             sanitized = info.call(*args).launch
-        assert len(memo) == 1  # observed launches neither read nor fill it
-        assert tracer.events  # the traced launch ran its cost program
+        assert memo == entry  # the sanitized launch neither reads nor fills it
+        # Replaying the tape leaves the tracer as stepping the program does.
+        assert [repr(e) for e in tracer.events] == [
+            repr(e) for e in reference.events
+        ]
+        assert tracer.events and tracer._ts == reference._ts
+        assert tracer.counters.snapshot() == reference.counters.snapshot()
+        assert tracer.counters.stages() == reference.counters.stages()
         assert sanitized.sanitizer is not None and sanitized.sanitizer.ok
         assert hit.sanitizer is None
         view = _launch_view(miss)
         assert _launch_view(hit) == view
         assert _launch_view(traced) == view
+        assert _launch_view(stepped) == view
         assert _launch_view(sanitized) == view
 
     def test_returned_launch_is_a_private_copy(self, info, memo):

@@ -152,6 +152,40 @@ class TestObservability:
         assert set(sharded_seq) == set(range(sharded_report.chunks))
         assert sharded_seq == serial_seq
 
+    def test_kept_workers_replay_the_tapes_they_recorded(self, tmp_path, monkeypatch):
+        from repro.kernels.device import base
+
+        monkeypatch.setattr(base, "_LAUNCHES", {})
+        matrices = diagonally_dominant_batch(30, 10, seed=13)
+        chunk_cost = lu_flops(10) * 10
+        serial_rt = _runtime(tmp_path, workers=1, chunk_cost=chunk_cost)
+        sharded_rt = _runtime(tmp_path, workers=2, chunk_cost=chunk_cost)
+        serial_rt.parameters()
+        sharded_rt.parameters()
+
+        def traced(runtime):
+            with tracing() as tracer:
+                report = runtime.run(ProblemBatch.single("lu", matrices))
+            sequences = {}
+            for event in tracer.events:
+                if event.args and "shard" in event.args:
+                    sequences.setdefault(event.args["shard"], []).append(
+                        event.name
+                    )
+            return report, sequences, tracer.counters.snapshot()
+
+        with sharded_rt:
+            first = traced(sharded_rt)
+            second = traced(sharded_rt)
+        # The workers forked with an empty memo: they recorded the tapes
+        # during the first launch and replayed them during the second.
+        assert not base._LAUNCHES
+        _, serial_seq, serial_counters = traced(serial_rt)
+        for report, sequences, counters in (first, second):
+            assert report.mode == "process" and report.chunks > 1
+            assert sequences == serial_seq
+            assert counters == serial_counters
+
     def test_untraced_launch_emits_nothing(self, tmp_path):
         matrices = diagonally_dominant_batch(8, 8, seed=7)
         report = _runtime(tmp_path, workers=1).run(ProblemBatch.single("lu", matrices))
