@@ -166,7 +166,7 @@ def _walkthrough() -> None:
             [[phase, f"{profile.phases[phase]:.4f}", f"{shares[phase]:.1%}"]
              for phase in sorted(profile.phases, key=lambda p: -profile.phases[p])],
         ))
-        print("Timeline gate:     python -m repro.observe.timeline trace.json --strict")
+        print("Timeline:          python -m repro.observe.timeline trace.json")
 
     # --- 5. Fleet telemetry. --------------------------------------------
     # Every instrumented layer above (kernels, caches, dispatch, the
@@ -213,7 +213,7 @@ def _walkthrough() -> None:
     if obslog.log_enabled():
         print(f"Structured log:   {obslog.default_logger().path}")
         print("SLO gate:         python -m repro.observe.alerts check "
-              "benchmarks/specs/slo_default.toml --strict")
+              "benchmarks/specs/slo_default.json --strict")
     print("Dashboard:        python -m repro.observe.report")
 
 

@@ -23,10 +23,10 @@ measurement backends, and leaves three artifacts behind:
 
 One aggregate sweep record lands in the
 :class:`~repro.observe.history.RunHistory` store (when a history
-destination is given), labeled per cell so
-``python -m repro.observe.report`` folds sweep gauges into its drift
-window.  Per-cell runtime launches deliberately do not log their own
-records: successive sweeps stay directly comparable.
+destination is given), labeled per cell so a ``delta`` alert rule
+(the default SLO spec's ``drift``) compares each sweep's gauges with
+the prior sweeps'.  Per-cell runtime launches deliberately do not log
+their own records: successive sweeps stay directly comparable.
 
 Testing hook: ``REPRO_EXPERIMENTS_KILL_AFTER=<n>`` SIGKILLs the process
 after ``n`` cells have been journaled -- the resume tests use it to
@@ -229,7 +229,7 @@ def run_spec(
         Run-history destination (path or :class:`RunHistory`) for the
         one aggregate sweep record.  Per-cell runtime launches do not
         log their own records -- sweep entries stay comparable under
-        :func:`~repro.observe.history.detect_drift`.  ``None``
+        the :mod:`repro.observe.alerts` drift rules.  ``None``
         disables history entirely.
     resume:
         Replay a matching ``cells.jsonl`` journal instead of

@@ -5,8 +5,7 @@ The baseline format *is* the matrix artifact: ``diff`` and
 refreshing a baseline is just re-running the spec and copying the file
 (``scripts/regen_baseline.py`` automates it).
 
-Gauge semantics match the original ``scripts/check_bench_regression.py``
-gate (which now routes through this module):
+Gauge semantics:
 
 * higher-is-better gauges (throughput) fail when
   ``value < ref * (1 - tolerance)``;

@@ -27,8 +27,8 @@ On top of the per-launch layers sits the fleet telemetry added in PR 3:
 * **regime classification** (:mod:`repro.observe.regime`) -- each
   launch labeled compute-/DRAM-bandwidth-/latency-/sync-bound from its
   attribution term shares;
-* **run history + drift** (:mod:`repro.observe.history`) -- a JSONL
-  store of per-launch summaries with a rolling-window drift detector,
+* **run history** (:mod:`repro.observe.history`) -- a JSONL store of
+  per-launch summaries, flattened into direction-aware gauges and
   rendered by ``python -m repro.observe.report``;
 * **critical-path profiling** (:mod:`repro.observe.profile`) -- every
   traced batch run emits a cross-process span tree
@@ -37,10 +37,11 @@ On top of the per-launch layers sits the fleet telemetry added in PR 3:
   land on :attr:`BatchReport.profile <repro.runtime.merge.BatchReport>`
   and replay from a trace file via ``python -m repro.observe.timeline``.
 * **SLOs, alerts, and structured logs** (:mod:`repro.observe.alerts`,
-  :mod:`repro.observe.log`) -- declarative threshold / delta /
-  burn-rate rules over the registry and history, compiled into a
-  fingerprinted :class:`AlertPlan` and exit-coded by
-  ``python -m repro.observe.alerts``; plus a ``REPRO_LOG``-gated JSONL
+  :mod:`repro.observe.log`) -- declarative threshold / delta (drift) /
+  burn-rate (error and phase budget) rules over the registry and
+  history, compiled into a fingerprinted :class:`AlertPlan` and
+  exit-coded by ``python -m repro.observe.alerts``, the one engine that
+  judges telemetry; plus a ``REPRO_LOG``-gated JSONL
   logger whose records carry the profiler's span ids, so an alert, a
   log line, and a flamegraph span join on one id.
 * **one call per host fact** (:mod:`repro.observe.events`) --
@@ -118,10 +119,8 @@ __all__ = [
     "classify_regime",
     "record_regime",
     "HISTORY_SCHEMA",
-    "DriftFlag",
     "RunHistory",
     "default_history_path",
-    "detect_drift",
     "gauge_direction",
     "record_gauges",
     "run_record",
@@ -204,10 +203,8 @@ _LAZY = {
     "classify_regime": "regime",
     "record_regime": "regime",
     "HISTORY_SCHEMA": "history",
-    "DriftFlag": "history",
     "RunHistory": "history",
     "default_history_path": "history",
-    "detect_drift": "history",
     "gauge_direction": "history",
     "record_gauges": "history",
     "run_record": "history",

@@ -14,12 +14,13 @@ A spec is a TOML or JSON document in the :mod:`repro.experiments` style::
     quantile = 0.99             # histogram families only
     max = 30.0                  # or min = ...; exactly one bound
 
-    [[rule]]                    # direction-aware drift on a history gauge
-    name = "wall-drift"
+    [[rule]]                    # direction-aware drift of history gauges
+    name = "drift"
     kind = "delta"
-    gauge = "summary.wall_s"
-    window = 8
-    tolerance = 0.25            # relative move vs the window median
+    gauge = "*"                 # fnmatch pattern over the gauge names
+    window = 8                  # prior records the median is taken over
+    tolerance = 0.10            # relative move vs the window median
+    min_history = 3             # prior samples each gauge needs
 
     [[rule]]                    # multi-window error-budget burn rate
     name = "failure-burn"
@@ -31,6 +32,11 @@ A spec is a TOML or JSON document in the :mod:`repro.experiments` style::
     long_window = 24            # history records
     short_window = 4
     factor = 2.0                # fire when BOTH windows burn >= 2x budget
+
+A share budget is a one-record burn rate: ``numerator =
+"profile.phases.merge"``, ``denominator = "profile.wall_s"``, ``objective
+= 0.90`` and both windows 1 fire at ``factor = 1.0`` once the latest
+profiled launch spent 10% of its wall in the merge.
 
 Specs compile into a deterministic :class:`AlertPlan` (content
 fingerprint over the canonical rule list), and :func:`evaluate` turns a
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fnmatch
 import hashlib
 import json
 import statistics
@@ -200,8 +207,9 @@ class AlertRule:
                 window=self.window,
                 tolerance=self.tolerance,
                 min_history=self.min_history,
-                direction=self.direction or gauge_direction(self.gauge or ""),
             )
+            if self.direction is not None:
+                doc["direction"] = self.direction
         else:
             doc.update(
                 numerator=self.numerator,
@@ -298,7 +306,7 @@ def _parse_rule(entry: Mapping, where: str) -> AlertRule:
     if kind == "delta":
         gauge = entry.get("gauge")
         if not isinstance(gauge, str) or not gauge:
-            raise AlertSpecError(f"{where}: delta needs a gauge name")
+            raise AlertSpecError(f"{where}: delta needs a gauge name or pattern")
         direction = entry.get("direction")
         if direction is not None and direction not in ("higher", "lower"):
             raise AlertSpecError(
@@ -522,42 +530,66 @@ def _eval_threshold(
 
 
 def _eval_delta(rule: AlertRule, records: Sequence[dict]) -> tuple:
-    series = []
-    for record in records:
-        value = record_gauges(record).get(rule.gauge)
-        if value is not None:
-            series.append(value)
-    if len(series) < rule.min_history + 1:
+    """Drift of every latest-record gauge that ``rule.gauge`` matches.
+
+    Each gauge is compared with the median of its values in the up to
+    ``window`` prior records and needs ``min_history`` of them; a gauge
+    whose median is ~0 is skipped (relative drift is undefined there).
+    A move beyond ``tolerance`` in the gauge's bad direction -- the
+    rule's ``direction``, else :func:`gauge_direction` of the gauge --
+    fires.  The value is the deviation of the gauge that moved furthest
+    in its bad direction.
+    """
+    latest = record_gauges(records[-1]) if records else {}
+    prior = [record_gauges(r) for r in records[-(rule.window + 1) : -1]]
+    compared = []
+    for name in sorted(latest):
+        if not fnmatch.fnmatchcase(name, rule.gauge):
+            continue
+        history = [g[name] for g in prior if name in g]
+        if len(history) < rule.min_history:
+            continue
+        median = statistics.median(history)
+        if abs(median) < 1e-12:
+            continue
+        direction = rule.direction or gauge_direction(name)
+        deviation = (latest[name] - median) / abs(median)
+        compared.append(
+            {
+                "gauge": name,
+                "latest": latest[name],
+                "median": median,
+                "deviation": deviation,
+                "direction": direction,
+                "window": len(history),
+            }
+        )
+    if not compared:
         return (
             None,
             "no_data",
-            f"needs {rule.min_history + 1} samples of {rule.gauge!r}, "
-            f"have {len(series)}",
+            f"no latest-record gauge matching {rule.gauge!r} has "
+            f"{rule.min_history} prior samples and a nonzero median",
             {},
         )
-    latest = series[-1]
-    window = series[-(rule.window + 1) : -1]
-    median = statistics.median(window)
-    if abs(median) < 1e-12:
-        return None, "no_data", "window median ~0; relative drift undefined", {}
-    deviation = (latest - median) / abs(median)
-    direction = rule.direction or gauge_direction(rule.gauge)
-    bad = deviation > rule.tolerance if direction == "lower" else (
-        deviation < -rule.tolerance
+
+    def bad_move(entry: dict) -> float:
+        sign = 1.0 if entry["direction"] == "lower" else -1.0
+        return sign * entry["deviation"]
+
+    worst = max(compared, key=bad_move)
+    flags = sorted(
+        (e for e in compared if bad_move(e) > rule.tolerance),
+        key=lambda e: -abs(e["deviation"]),
     )
-    evidence = {
-        "gauge": rule.gauge,
-        "latest": latest,
-        "median": median,
-        "deviation": deviation,
-        "direction": direction,
-        "window": len(window),
-    }
     detail = (
-        f"{latest:.4g} vs median {median:.4g} ({deviation:+.1%}, "
-        f"{direction} is better)"
+        f"{len(flags)}/{len(compared)} drifted; worst {worst['gauge']} "
+        f"{worst['latest']:.4g} vs median {worst['median']:.4g} "
+        f"({worst['deviation']:+.1%}, {worst['direction']} is better)"
     )
-    return deviation, ("firing" if bad else "ok"), detail, evidence
+    evidence = {"gauge": rule.gauge, "checked": len(compared), "flags": flags}
+    state = "firing" if flags else "ok"
+    return worst["deviation"], state, detail, evidence
 
 
 def _burn(pairs: Sequence[tuple], window: int, budget: float):
@@ -835,11 +867,13 @@ def _explain_rule(rule: AlertRule, result: RuleResult) -> str:
         )
         lines.append(f"  watches: {target}, bound {bound}")
     elif rule.kind == "delta":
-        direction = rule.direction or gauge_direction(rule.gauge)
+        better = (
+            f"{rule.direction} is better" if rule.direction else "direction per gauge"
+        )
         lines.append(
-            f"  watches: history gauge {rule.gauge!r} vs its "
-            f"{rule.window}-record median (tolerance "
-            f"{rule.tolerance:.0%}, {direction} is better)"
+            f"  watches: history gauges matching {rule.gauge!r} vs their "
+            f"{rule.window}-record median (tolerance {rule.tolerance:.0%}, "
+            f"{better}, {rule.min_history}+ samples)"
         )
     else:
         lines.append(

@@ -1,4 +1,4 @@
-"""Run-history store (JSONL) with rolling-window drift detection.
+"""Run-history store (JSONL) and the gauge view that alert rules read.
 
 Every sharded launch appends one line to ``~/.cache/repro/history.jsonl``
 (same root as the calibration/dispatch caches, ``REPRO_CACHE_DIR`` to
@@ -9,24 +9,21 @@ fsync, so concurrent runs interleave whole lines and a killed process
 never leaves a torn record; readers skip lines that fail to parse or
 carry a different schema stamp.
 
-On top of the store, :func:`detect_drift` applies the same policy as
-``scripts/check_bench_regression.py`` -- a direction-aware relative
-tolerance -- continuously: the latest run's gauges are compared against
-the *median* of their trailing window, and a gauge that moved beyond the
-tolerance in its bad direction (throughput down, wall time up, residuals
-up...) is flagged.  This is the monitoring loop the model enables: the
-simulated engine is deterministic, so sustained movement in these gauges
-means the code changed, the calibration changed, or the model stopped
-explaining the measurement.
+:func:`record_gauges` flattens a record into dotted gauge names and
+:func:`gauge_direction` says which way each one is better.  The
+:mod:`repro.observe.alerts` ``delta`` rules judge drift over these
+gauges (the latest run against the median of its trailing window), and
+the matrix gate of :mod:`repro.experiments.gate` uses the same
+directions.  The simulated engine is deterministic, so sustained
+movement in these gauges means the code changed, the calibration
+changed, or the model stopped explaining the measurement.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
-import statistics
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -34,10 +31,8 @@ from typing import Dict, List, Optional, Sequence
 __all__ = [
     "DEFAULT_MAX_BYTES",
     "HISTORY_SCHEMA",
-    "DriftFlag",
     "RunHistory",
     "default_history_path",
-    "detect_drift",
     "gauge_direction",
     "record_gauges",
     "run_record",
@@ -52,8 +47,8 @@ HISTORY_SCHEMA = 1
 DEFAULT_MAX_BYTES = 16 << 20
 
 #: Substrings marking a gauge as lower-is-better; everything else is
-#: higher-is-better (throughput-like).  Mirrors the CI gate's
-#: direction-aware policy.
+#: higher-is-better (throughput-like).  Drift rules and the matrix gate
+#: both classify through :func:`gauge_direction`.
 _LOWER_IS_BETTER = (
     "wall",
     "wait",
@@ -73,6 +68,11 @@ _LOWER_IS_BETTER = (
     "queue",
     "straggler",
     "phases.",
+    # Simulated cycle counts (the attribution totals and each regime's
+    # measured cycles): the same work in fewer cycles is faster.
+    "cycles",
+    "measured_total",
+    "eq_total",
 )
 
 
@@ -287,73 +287,3 @@ def gauge_direction(name: str) -> str:
     if any(token in lowered for token in _LOWER_IS_BETTER):
         return "lower"
     return "higher"
-
-
-@dataclasses.dataclass(frozen=True)
-class DriftFlag:
-    """One gauge that moved beyond tolerance in its bad direction."""
-
-    gauge: str
-    value: float
-    median: float
-    #: Signed relative deviation from the window median.
-    deviation: float
-    #: Which direction is better for this gauge.
-    direction: str
-    #: Number of prior records the median was taken over.
-    window: int
-
-    def __str__(self) -> str:
-        return (
-            f"{self.gauge}: {self.value:.4g} vs median {self.median:.4g} "
-            f"({self.deviation:+.1%}, {self.direction} is better)"
-        )
-
-
-def detect_drift(
-    records: Sequence[dict],
-    window: int = 8,
-    tolerance: float = 0.10,
-    min_history: int = 3,
-) -> List[DriftFlag]:
-    """Flag gauges in the latest record that drifted from their median.
-
-    The latest record's gauges are compared against the median of the
-    up-to-``window`` prior records (needing at least ``min_history``
-    samples per gauge).  A flag is raised only for movement beyond
-    ``tolerance`` in the gauge's *bad* direction -- the policy of the CI
-    bench gate, applied per run instead of per commit.  Gauges whose
-    median is ~0 are skipped (relative drift is undefined there).
-    """
-    if len(records) < min_history + 1:
-        return []
-    latest = record_gauges(records[-1])
-    prior = [record_gauges(r) for r in records[-(window + 1):-1]]
-    flags: List[DriftFlag] = []
-    for name in sorted(latest):
-        history = [g[name] for g in prior if name in g]
-        if len(history) < min_history:
-            continue
-        median = statistics.median(history)
-        if abs(median) < 1e-12:
-            continue
-        deviation = (latest[name] - median) / abs(median)
-        direction = gauge_direction(name)
-        drifted = (
-            deviation < -tolerance
-            if direction == "higher"
-            else deviation > tolerance
-        )
-        if drifted:
-            flags.append(
-                DriftFlag(
-                    gauge=name,
-                    value=latest[name],
-                    median=median,
-                    deviation=deviation,
-                    direction=direction,
-                    window=len(history),
-                )
-            )
-    flags.sort(key=lambda f: -abs(f.deviation))
-    return flags

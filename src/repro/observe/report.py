@@ -12,13 +12,12 @@ instrumented runtime leaves behind (``history.jsonl`` plus the
   decomposition, straggler index, and queue share;
 * cache hit rates for the calibration and dispatch caches;
 * the latest SLO evaluation ``python -m repro.observe.alerts check``
-  persisted (rule states, severities, and observed values);
-* drift flags: gauges in the latest run that moved beyond a
-  direction-aware tolerance from their rolling-window median.
+  persisted (rule states, severities, and observed values), drift and
+  phase budgets included.
 
 Everything is stdlib + the repo's own table renderer; no third-party
-dependencies.  ``--strict`` exits non-zero when drift is flagged, so the
-same command doubles as a CI gate.
+dependencies.  The dashboard renders and never gates: the exit-coded
+verdicts belong to ``python -m repro.observe.alerts check --strict``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..reporting.tables import format_table
-from .history import RunHistory, default_history_path, detect_drift
+from .history import RunHistory, default_history_path
 from .metrics import (
     MetricsRegistry,
     default_snapshot_path,
@@ -148,11 +147,9 @@ def render_report(
     history: RunHistory,
     registry: Optional[MetricsRegistry],
     runs: int = 10,
-    window: int = 8,
-    tolerance: float = 0.10,
     alerts: Optional[dict] = None,
-):
-    """The dashboard text plus the drift flags it rendered.
+) -> str:
+    """The dashboard text.
 
     ``alerts`` is the persisted state doc of the most recent
     ``python -m repro.observe.alerts check`` (see
@@ -231,31 +228,13 @@ def render_report(
         )
     elif registry is not None:
         sections.append("no cache traffic recorded in the metrics snapshot")
-
-    flags = detect_drift(records, window=window, tolerance=tolerance)
-    if flags:
-        sections.append(
-            format_table(
-                ["gauge", "latest", "median", "deviation", "better"],
-                [
-                    [f.gauge, f.value, f.median, f"{f.deviation:+.1%}", f.direction]
-                    for f in flags
-                ],
-                title=f"Drift flags (>{tolerance:.0%} vs {window}-run median)",
-            )
-        )
-    elif records:
-        sections.append(
-            f"no drift: latest run within {tolerance:.0%} of its "
-            f"{window}-run median"
-        )
-    return "\n\n".join(sections) + "\n", flags
+    return "\n\n".join(sections) + "\n"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.observe.report",
-        description="Fleet telemetry dashboard: runs, regimes, caches, drift.",
+        description="Fleet telemetry dashboard: runs, regimes, alerts, caches.",
     )
     parser.add_argument(
         "--history",
@@ -273,24 +252,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--runs", type=int, default=10, help="recent runs to list (default 10)"
     )
     parser.add_argument(
-        "--window", type=int, default=8, help="drift median window (default 8)"
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="drift tolerance as a fraction (default 0.10)",
-    )
-    parser.add_argument(
         "--alerts",
         type=Path,
         default=None,
         help="persisted alert state (default: <cache dir>/alerts.json)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 when any gauge drifted beyond tolerance",
     )
     args = parser.parse_args(argv)
 
@@ -304,17 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         registry = load_metrics_snapshot(metrics_path.with_suffix(".prom"))
     alerts = load_alert_state(args.alerts or default_state_path())
 
-    text, flags = render_report(
-        history,
-        registry,
-        runs=args.runs,
-        window=args.window,
-        tolerance=args.tolerance,
-        alerts=alerts,
-    )
-    print(text, end="")
-    if args.strict and flags:
-        return 1
+    print(render_report(history, registry, runs=args.runs, alerts=alerts), end="")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Timeline reconstruction and phase-budget gating from a trace file.
+"""Timeline reconstruction from a trace file.
 
 ``python -m repro.observe.timeline trace.json`` rebuilds the batch span
 tree a traced run left in its Chrome trace (the profile-category events
@@ -14,11 +14,11 @@ renders, per batch:
   quantiles (p50/p95/p99) via
   :meth:`~repro.observe.metrics.MetricsRegistry.histogram_quantile`.
 
-``--strict`` turns phase budgets into a CI gate: the default budget
-caps ``merge`` at 10% of the wall, and repeatable ``--budget
-phase=frac`` flags override or extend it.  A truncated trace (ring
-buffer overflowed the early spans away) degrades to a warning, never a
-crash -- a gate must not fail because the evidence was evicted.
+The timeline renders; it does not gate.  Phase budgets are alert rules
+over the profile each launch records in the run history (the default
+spec's ``merge-budget``, checked by ``python -m repro.observe.alerts
+check --strict``).  A truncated trace (ring buffer overflowed the early
+spans away) degrades to a warning, never a crash.
 """
 
 from __future__ import annotations
@@ -45,17 +45,10 @@ from .profile import (
 from .tracer import Event
 
 __all__ = [
-    "DEFAULT_BUDGETS",
-    "check_budgets",
     "load_profile_events",
     "main",
     "render_timeline",
 ]
-
-#: Default ``--strict`` phase budgets: fraction of the batch wall each
-#: phase may consume.  The merge is bookkeeping -- it folding more than
-#: a tenth of the wall means the runtime is moving bytes, not solving.
-DEFAULT_BUDGETS: Dict[str, float] = {"merge": 0.10}
 
 
 def load_profile_events(path: Path | str) -> List[Event]:
@@ -85,38 +78,6 @@ def load_profile_events(path: Path | str) -> List[Event]:
             )
         )
     return events
-
-
-def check_budgets(
-    profile: BatchProfile, budgets: Dict[str, float]
-) -> List[str]:
-    """Budget violations as human-readable strings (empty = within)."""
-    violations = []
-    shares = profile.phase_shares()
-    for phase, budget in sorted(budgets.items()):
-        share = shares.get(phase, 0.0)
-        if share > budget:
-            violations.append(
-                f"{profile.scope}: phase {phase!r} used {share:.1%} of the "
-                f"wall (budget {budget:.1%})"
-            )
-    return violations
-
-
-def _parse_budget(text: str) -> tuple:
-    phase, _, frac = text.partition("=")
-    phase = phase.strip()
-    if phase not in PHASES:
-        raise argparse.ArgumentTypeError(
-            f"unknown phase {phase!r}; choose from {', '.join(PHASES)}"
-        )
-    try:
-        value = float(frac)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"budget fraction {frac!r} is not a number")
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"budget must be in (0, 1], got {value}")
-    return phase, value
 
 
 def _straggler_rows(profile: BatchProfile, root: SpanNode, top: int) -> List[list]:
@@ -254,30 +215,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.observe.timeline",
         description=(
             "Rebuild the batch timeline from a trace file: latency "
-            "decomposition, critical path, stragglers, phase budgets."
+            "decomposition, critical path, stragglers."
         ),
     )
     parser.add_argument("trace", type=Path, help="Chrome trace JSON file")
     parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 when any phase exceeds its budget",
-    )
-    parser.add_argument(
-        "--budget",
-        action="append",
-        type=_parse_budget,
-        default=None,
-        metavar="PHASE=FRAC",
-        help=(
-            "phase budget as a wall fraction (repeatable; default merge=0.10)"
-        ),
-    )
-    parser.add_argument(
         "--top", type=int, default=5, help="stragglers to list (default 5)"
     )
     parser.add_argument(
-        "--json", type=Path, default=None, help="write profiles + verdicts here"
+        "--json", type=Path, default=None, help="write the batch profiles here"
     )
     parser.add_argument(
         "--flamegraph",
@@ -297,20 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     text, profiles = render_timeline(roots, top=args.top)
     print(text, end="")
 
-    budgets = dict(DEFAULT_BUDGETS)
-    if args.budget:
-        budgets.update(args.budget)
-    violations: List[str] = []
-    for profile in profiles:
-        violations.extend(check_budgets(profile, budgets))
-    if violations:
-        print()
-        for violation in violations:
-            print(f"budget violation: {violation}")
-    elif profiles:
-        named = ", ".join(f"{k}<={v:.0%}" for k, v in sorted(budgets.items()))
-        print(f"\nphase budgets satisfied ({named})")
-
     if args.flamegraph is not None:
         atomic_write_text(args.flamegraph, collapsed_stacks(roots))
         print(f"flamegraph stacks -> {args.flamegraph}")
@@ -318,14 +250,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         doc = {
             "trace": str(args.trace),
             "batches": [p.to_dict() for p in profiles],
-            "budgets": budgets,
-            "violations": violations,
         }
         atomic_write_text(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"timeline json -> {args.json}")
-
-    if args.strict and violations:
-        return 1
     return 0
 
 

@@ -1,6 +1,7 @@
 """Direction-aware gate semantics on matrix artifacts."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,25 @@ class TestArtifactGauges:
             [{"id": "b", "status": "failed", "gauges": {"measured_gflops": 1.0}}]
         )
         assert set(artifact_gauges(doc)) == {"b.status"}
+
+    @pytest.mark.parametrize("name", ["ci_baseline.json", "ci_smoke.json"])
+    def test_checked_in_baseline_directions_are_pinned(self, name):
+        # A change to gauge_direction must not flip how a gated gauge is
+        # judged.
+        pinned = {
+            "status": "status",
+            "measured_gflops": "higher",
+            "predicted_gflops": "higher",
+            "rel_err": "lower",
+            "failures": "lower",
+            "chunks": "exact",
+            "problems": "exact",
+        }
+        path = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines" / name
+        gauges = artifact_gauges(load_artifact(path))
+        assert gauges
+        for gauge, entry in gauges.items():
+            assert entry["direction"] == pinned[gauge.rsplit(".", 1)[1]], gauge
 
 
 class TestDiffAndLoad:

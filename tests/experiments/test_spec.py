@@ -121,9 +121,6 @@ class TestRoundTrip:
             for path in (
                 Path(__file__).parents[2] / "benchmarks" / "specs"
             ).glob("*.toml")
-            # slo_*.toml are alert-rule specs (repro.observe.alerts), not
-            # experiment matrices; they have their own round-trip test.
-            if not path.name.startswith("slo_")
         )
         assert specs, "no checked-in specs found"
         for path in specs:

@@ -305,6 +305,53 @@ class TestDeltaEval:
         (result,) = evaluate(self._plan(), records=records).results
         assert result.state == "no_data"
 
+    def test_gauge_missing_from_latest_is_no_data(self):
+        # An old sample is not the latest run: no verdict.
+        records = history_records([0] * 6, wall=0.5)
+        records += history_records([0], wall=5.0)
+        del records[-1]["summary"]["wall_s"]
+        (result,) = evaluate(self._plan(), records=records).results
+        assert result.state == "no_data"
+
+    def test_pattern_keeps_direction_per_gauge(self):
+        plan = self._plan(gauge="summary.*")
+        (rule,) = plan.rules
+        assert "direction" not in rule.to_dict()
+        records = history_records([0] * 6, wall=0.5)
+        records += history_records([0], wall=1.0)
+        records[-1]["summary"]["problems"] = 500  # higher is better: -50%
+        (result,) = evaluate(plan, records=records).results
+        assert result.state == "firing"
+        flags = {f["gauge"]: f["direction"] for f in result.evidence["flags"]}
+        assert flags == {"summary.wall_s": "lower", "summary.problems": "higher"}
+        assert result.evidence["checked"] == 2  # failures' median is 0
+        assert "direction per gauge" in alerts_mod._explain_rule(rule, result)
+
+    @pytest.mark.parametrize("scale, state", [(1.47, "firing"), (0.71, "ok")])
+    def test_cycle_counts_are_lower_is_better(self, scale, state):
+        # A +47% cycle rise is a regression; a -29% drop is not.
+        def record(cycles):
+            return {
+                "attribution": [
+                    {"label": "lu", "measured_total": cycles, "eq_total": cycles}
+                ],
+                "regimes": [{"regime": "latency-bound", "measured_cycles": cycles}],
+            }
+
+        records = [record(17278.0)] * 6 + [record(17278.0 * scale)]
+        (result,) = evaluate(self._plan(gauge="*"), records=records).results
+        assert result.state == state
+        flagged = sorted(f["gauge"] for f in result.evidence["flags"])
+        assert flagged == (
+            [
+                "attribution.lu.eq_total",
+                "attribution.lu.measured_total",
+                "regimes.latency-bound.measured_cycles",
+            ]
+            if state == "firing"
+            else []
+        )
+
 
 class TestBurnEval:
     def _plan(self, **over):
@@ -536,28 +583,30 @@ class TestDefaultSpec:
             Path(__file__).resolve().parents[2]
             / "benchmarks"
             / "specs"
-            / "slo_default.toml"
+            / "slo_default.json"
         )
 
     def test_compiles_with_expected_rules(self):
-        if sys.version_info < (3, 11):
-            pytest.skip("TOML specs need Python 3.11+ (stdlib tomllib)")
         plan = compile_plan(load_alert_spec(self._spec_path()))
         names = {rule.name for rule in plan.rules}
         assert names == {
             "chunk-wall-p99",
             "trace-drops",
             "serial-fallback",
-            "wall-drift",
+            "drift",
+            "merge-budget",
             "costcheck-mismatch",
             "failure-burn",
         }
         burn = next(r for r in plan.rules if r.name == "failure-burn")
         assert burn.severity == "page"
+        drift = next(r for r in plan.rules if r.name == "drift")
+        assert (drift.gauge, drift.tolerance, drift.window, drift.min_history) == (
+            "*", 0.10, 8, 3
+        )
+        assert drift.direction is None
 
     def test_quiet_on_healthy_telemetry(self):
-        if sys.version_info < (3, 11):
-            pytest.skip("TOML specs need Python 3.11+ (stdlib tomllib)")
         plan = compile_plan(load_alert_spec(self._spec_path()))
         registry = MetricsRegistry()
         for value in (0.1, 0.2, 0.3):

@@ -1,18 +1,42 @@
-"""Run-history JSONL store: durable appends and drift detection."""
+"""Run-history JSONL store: durable appends and drift detection.
 
+Drift is the default SLO spec's ``drift`` rule (a ``delta`` over every
+gauge), evaluated by :mod:`repro.observe.alerts` over these records.
+"""
+
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from repro.observe.alerts import compile_plan, evaluate, load_alert_spec
 from repro.observe.history import (
     HISTORY_SCHEMA,
     RunHistory,
-    detect_drift,
     gauge_direction,
     record_gauges,
     run_record,
 )
+
+DEFAULT_SPEC = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "specs" / "slo_default.json"
+)
+
+
+def drift_result(records, **over):
+    """The default spec's ``drift`` rule, fields overridden by ``over``."""
+    spec = load_alert_spec(DEFAULT_SPEC)
+    rule = next(r for r in spec.rules if r.name == "drift")
+    spec = dataclasses.replace(spec, rules=(dataclasses.replace(rule, **over),))
+    (result,) = evaluate(compile_plan(spec), records=records).results
+    return result
+
+
+def drift_flags(records, **over):
+    """The gauges the drift rule flags, largest deviation first."""
+    return drift_result(records, **over).evidence.get("flags", [])
 
 
 def summary(wall=0.5, gflops=100.0):
@@ -137,6 +161,8 @@ class TestGaugeDirection:
     @pytest.mark.parametrize("name", [
         "summary.wall_s", "chunk.queue_wait", "attribution.lu.residual_total",
         "reconstruction_err", "cache.misses", "trace.dropped",
+        "attribution.lu.measured_total", "attribution.lu.eq_total",
+        "regimes.latency-bound.measured_cycles",
     ])
     def test_lower_is_better(self, name):
         assert gauge_direction(name) == "lower"
@@ -150,60 +176,66 @@ class TestGaugeDirection:
 
 class TestDetectDrift:
     def test_flags_wall_time_regression(self):
-        flags = detect_drift(records_for([0.5] * 5 + [0.7]))
-        flag = next(f for f in flags if f.gauge == "summary.wall_s")
-        assert flag.direction == "lower"
-        assert flag.deviation == pytest.approx(0.4)
-        assert flag.median == pytest.approx(0.5)
-        assert "summary.wall_s" in str(flag)
+        result = drift_result(records_for([0.5] * 5 + [0.7]))
+        assert result.state == "firing"
+        flags = result.evidence["flags"]
+        flag = next(f for f in flags if f["gauge"] == "summary.wall_s")
+        assert flag["direction"] == "lower"
+        assert flag["deviation"] == pytest.approx(0.4)
+        assert flag["median"] == pytest.approx(0.5)
+        assert "summary.wall_s" in result.detail
 
     def test_flags_throughput_drop(self):
-        flags = detect_drift(
+        flags = drift_flags(
             records_for([0.5] * 6, gflops=[100.0] * 5 + [80.0])
         )
         flag = next(
-            f for f in flags if f.gauge == "summary.groups.lu.gflops"
+            f for f in flags if f["gauge"] == "summary.groups.lu.gflops"
         )
-        assert flag.direction == "higher"
-        assert flag.deviation == pytest.approx(-0.2)
+        assert flag["direction"] == "higher"
+        assert flag["deviation"] == pytest.approx(-0.2)
 
     def test_improvement_is_not_drift(self):
         # Wall time down and throughput up move in their *good*
         # directions: nothing to flag.
-        flags = detect_drift(
+        result = drift_result(
             records_for([0.5] * 5 + [0.3], gflops=[100.0] * 5 + [150.0])
         )
-        assert flags == []
+        assert result.state == "ok"
+        assert result.evidence["flags"] == []
 
     def test_within_tolerance_is_quiet(self):
-        assert detect_drift(records_for([0.5] * 5 + [0.52])) == []
+        result = drift_result(records_for([0.5] * 5 + [0.52]))
+        assert result.state == "ok"
 
     def test_needs_min_history(self):
-        assert detect_drift(records_for([0.5, 0.5, 5.0])) == []
-        assert detect_drift(records_for([0.5] * 3 + [5.0])) != []
+        assert drift_result(records_for([0.5, 0.5, 5.0])).state == "no_data"
+        assert drift_flags(records_for([0.5] * 3 + [5.0])) != []
 
     def test_zero_median_gauges_skipped(self):
         records = records_for([0.5] * 6)
         for r in records[:-1]:
             r["residual"] = 0.0
         records[-1]["residual"] = 5.0
-        assert all(f.gauge != "residual" for f in detect_drift(records))
+        result = drift_result(records)
+        assert result.state == "ok"
+        assert all(f["gauge"] != "residual" for f in result.evidence["flags"])
 
     def test_window_bounds_the_median(self):
         # Old slow runs outside the window must not mask a regression
         # against the recent fast median.
         walls = [5.0] * 10 + [0.5] * 8 + [0.7]
-        flags = detect_drift(records_for(walls), window=8)
-        flag = next(f for f in flags if f.gauge == "summary.wall_s")
-        assert flag.median == pytest.approx(0.5)
-        assert flag.window == 8
+        flags = drift_flags(records_for(walls), window=8)
+        flag = next(f for f in flags if f["gauge"] == "summary.wall_s")
+        assert flag["median"] == pytest.approx(0.5)
+        assert flag["window"] == 8
 
     def test_sorted_by_deviation_magnitude(self):
-        flags = detect_drift(
+        flags = drift_flags(
             records_for([0.5] * 5 + [0.7], gflops=[100.0] * 5 + [10.0])
         )
         assert len(flags) >= 2
-        deviations = [abs(f.deviation) for f in flags]
+        deviations = [abs(f["deviation"]) for f in flags]
         assert deviations == sorted(deviations, reverse=True)
 
 
@@ -245,27 +277,28 @@ class TestProfileDriftPolicy:
         assert gauges["profile.phases.queue"] == pytest.approx(0.01)
 
     def test_queue_share_regression_flags(self):
-        flags = detect_drift(profile_records(queue_shares=[0.2] * 5 + [0.5]))
-        flag = next(f for f in flags if f.gauge == "profile.queue_share")
-        assert flag.direction == "lower"
-        assert flag.deviation == pytest.approx(1.5)
+        flags = drift_flags(profile_records(queue_shares=[0.2] * 5 + [0.5]))
+        flag = next(f for f in flags if f["gauge"] == "profile.queue_share")
+        assert flag["direction"] == "lower"
+        assert flag["deviation"] == pytest.approx(1.5)
 
     def test_straggler_regression_flags(self):
-        flags = detect_drift(profile_records(stragglers=[1.1] * 5 + [2.0]))
-        assert any(f.gauge == "profile.straggler_index" for f in flags)
+        flags = drift_flags(profile_records(stragglers=[1.1] * 5 + [2.0]))
+        assert [f["gauge"] for f in flags] == ["profile.straggler_index"]
 
     def test_phase_regression_flags(self):
-        flags = detect_drift(profile_records(queues=[0.01] * 5 + [0.05]))
-        assert any(f.gauge == "profile.phases.queue" for f in flags)
+        flags = drift_flags(profile_records(queues=[0.01] * 5 + [0.05]))
+        assert [f["gauge"] for f in flags] == ["profile.phases.queue"]
 
     def test_improvement_is_quiet(self):
-        flags = detect_drift(
+        result = drift_result(
             profile_records(
                 queue_shares=[0.2] * 5 + [0.05],
                 stragglers=[1.5] * 5 + [1.0],
             )
         )
-        assert [f for f in flags if f.gauge.startswith("profile.")] == []
+        assert result.state == "ok"
+        assert result.evidence["flags"] == []
 
 
 class TestCompaction:

@@ -1,11 +1,25 @@
-"""Timeline CLI: trace round trip, budgets, strict gating, artifacts."""
+"""Timeline CLI: trace round trip, rendering, artifacts.
+
+Phase budgets are alert rules over the profile a launch records in the
+run history: the budget cases below feed each trace's profile, as a
+history record, to :mod:`repro.observe.alerts`.
+"""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.observe import alerts as alerts_mod
 from repro.observe import tracing, write_chrome_trace
+from repro.observe.alerts import (
+    alert_spec_from_dict,
+    compile_plan,
+    evaluate,
+    load_alert_spec,
+)
+from repro.observe.history import RunHistory, run_record
 from repro.observe.tracer import Tracer
 from repro.observe.profile import (
     PROFILE_CATEGORY,
@@ -14,8 +28,6 @@ from repro.observe.profile import (
     compute_profile,
 )
 from repro.observe.timeline import (
-    DEFAULT_BUDGETS,
-    check_budgets,
     load_profile_events,
     main,
     render_timeline,
@@ -102,6 +114,55 @@ def _profile(path):
     return compute_profile(next(r for r in roots if r.name == "batch"))
 
 
+DEFAULT_SPEC = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "specs" / "slo_default.json"
+)
+
+
+def _merge_budget_rule():
+    spec = load_alert_spec(DEFAULT_SPEC)
+    return next(r for r in spec.rules if r.name == "merge-budget")
+
+
+def _phase_budget(phase, share):
+    """A one-record burn rule: ``phase`` may take ``share`` of the wall."""
+    return {
+        "name": f"{phase}-budget",
+        "kind": "burn_rate",
+        "numerator": f"profile.phases.{phase}",
+        "denominator": "profile.wall_s",
+        "objective": 1.0 - share,
+        "long_window": 1,
+        "short_window": 1,
+        "factor": 1.0,
+    }
+
+
+def _record(path):
+    """The history record a launch with ``path``'s profile leaves."""
+    return run_record({}, profile=_profile(path).summary(), span_id="batch:0")
+
+
+def _budget_result(path, rule):
+    """A budget rule over the profile of ``path``'s batch."""
+    plan = compile_plan(alert_spec_from_dict({"slo": {"name": "t"}, "rule": [rule]}))
+    (result,) = evaluate(plan, records=[_record(path)]).results
+    return result
+
+
+def _alerts_check(tmp_path, path, rule, *extra):
+    """``alerts check`` over a history holding ``path``'s profile."""
+    spec = tmp_path / "budget.json"
+    spec.write_text(json.dumps({"slo": {"name": "t"}, "rule": [rule]}))
+    history = RunHistory(tmp_path / "history.jsonl", max_bytes=None)
+    history.append(_record(path))
+    return alerts_mod.main(
+        ["check", str(spec), "--history", str(history.path),
+         "--metrics", str(tmp_path / "absent.json"),
+         "--state", str(tmp_path / "alerts.json"), *extra]
+    )
+
+
 class TestLoadProfileEvents:
     def test_round_trip_preserves_span_tree(self, trace_path):
         events = load_profile_events(trace_path)
@@ -124,7 +185,13 @@ class TestLoadProfileEvents:
 
 class TestBudgets:
     def test_default_budget_caps_merge(self):
-        assert DEFAULT_BUDGETS == {"merge": 0.10}
+        # The latest profiled launch's merge may take 10% of its wall.
+        rule = _merge_budget_rule()
+        assert (rule.kind, rule.numerator, rule.denominator) == (
+            "burn_rate", "profile.phases.merge", "profile.wall_s"
+        )
+        assert 1.0 - rule.objective == pytest.approx(0.10)
+        assert (rule.long_window, rule.short_window, rule.factor) == (1, 1, 1.0)
 
     def test_scripted_decomposition_is_exact(self, within_budget, over_budget):
         within = _profile(within_budget)
@@ -134,46 +201,57 @@ class TestBudgets:
         assert over.phases == {**SCRIPTED_PHASES, "merge": 0.125, "other": 0.0}
 
     def test_check_budgets_flags_overrun(self, trace_path):
-        profile = _profile(trace_path)
-        assert check_budgets(profile, {"compute": 1.0}) == []
-        violations = check_budgets(profile, {"compute": 1e-9})
-        assert violations and "compute" in violations[0]
+        result = _budget_result(trace_path, _phase_budget("compute", 1.0))
+        assert result.state == "ok"
+        result = _budget_result(trace_path, _phase_budget("compute", 1e-9))
+        assert result.state == "firing"
+        assert result.evidence["numerator"] == "profile.phases.compute"
 
 
 class TestCli:
-    def test_renders_and_passes_strict(self, within_budget, capsys):
-        assert main([str(within_budget), "--strict"]) == 0
+    def test_renders_and_passes_strict(self, within_budget, tmp_path, capsys):
+        assert main([str(within_budget)]) == 0
         out = capsys.readouterr().out
         assert "Latency decomposition" in out
         assert "Critical path" in out
         assert "Stragglers" in out
         assert "Chunk wall quantiles" in out
-        assert "budgets satisfied" in out
+        rule = _merge_budget_rule().to_dict()
+        assert _alerts_check(tmp_path, within_budget, rule, "--strict") == 0
 
-    def test_default_merge_budget_fails_strict(self, over_budget, capsys):
-        assert main([str(over_budget), "--strict"]) == 1
-        out = capsys.readouterr().out
-        assert "budget violation" in out
-        assert "'merge' used 12.5% of the wall (budget 10.0%)" in out
+    def test_default_merge_budget_fails_strict(self, over_budget, tmp_path, capsys):
+        # The timeline renders the overrun; the alert gate fails on it.
         assert main([str(over_budget)]) == 0
+        assert "12.5%" in capsys.readouterr().out
+        rule = _merge_budget_rule().to_dict()
+        assert _alerts_check(tmp_path, over_budget, rule, "--strict") == 1
+        out = capsys.readouterr().out
+        assert "merge-budget" in out and "FIRING" in out
+        assert "burn 1.25x/1.25x budget" in out
 
-    def test_budget_violation_exits_1_under_strict(self, trace_path, capsys):
-        code = main([str(trace_path), "--strict", "--budget", "compute=0.000001"])
-        assert code == 1
-        assert "budget violation" in capsys.readouterr().out
+    def test_budget_violation_exits_1_under_strict(self, trace_path, tmp_path, capsys):
+        rule = _phase_budget("compute", 1e-9)
+        assert _alerts_check(tmp_path, trace_path, rule, "--strict") == 1
+        assert "alert firing: compute-budget" in capsys.readouterr().out
 
-    def test_violation_without_strict_exits_0(self, trace_path, capsys):
-        assert main([str(trace_path), "--budget", "compute=0.000001"]) == 0
+    def test_violation_without_strict_exits_0(self, trace_path, tmp_path, capsys):
+        rule = _phase_budget("compute", 1e-9)
+        assert _alerts_check(tmp_path, trace_path, rule) == 0
 
     def test_unknown_phase_budget_rejected(self, trace_path, capsys):
-        with pytest.raises(SystemExit):
-            main([str(trace_path), "--budget", "blend=0.5"])
+        # A budget on a phase the profile lacks has no verdict, and the
+        # timeline itself takes no gating options.
+        result = _budget_result(trace_path, _phase_budget("blend", 0.5))
+        assert result.state == "no_data"
+        for option in (["--budget", "merge=0.5"], ["--strict"]):
+            with pytest.raises(SystemExit):
+                main([str(trace_path), *option])
 
     def test_json_artifact(self, within_budget, tmp_path, capsys):
         out_path = tmp_path / "timeline.json"
         assert main([str(within_budget), "--json", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
-        assert doc["violations"] == []
+        assert set(doc) == {"trace", "batches"}
         (batch,) = doc["batches"]
         assert batch["scope"].startswith("batch:")
         assert sum(batch["phases"].values()) == pytest.approx(
@@ -213,7 +291,7 @@ class TestCli:
         }
         path = tmp_path / "truncated.json"
         path.write_text(json.dumps(doc))
-        assert main([str(path), "--strict"]) == 0
+        assert main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "warning" in out and "no batch span tree" in out
 
