@@ -222,9 +222,10 @@ def run_spec(
     workers:
         Pool size for runtime cells (``None`` = auto).
     cache_dir:
-        Calibration/dispatch cache directory shared by all cells; also
-        enables the runtime's persistent caches.  ``None`` runs
-        cache-less (still deterministic, just recalibrates).
+        Directory of the :class:`~repro.runtime.CalibrationCache` behind
+        the sweep's one calibration per device, which every cell reuses.
+        ``None`` runs cache-less (still deterministic; calibrates once
+        per device).
     history:
         Run-history destination (path or :class:`RunHistory`) for the
         one aggregate sweep record.  Per-cell runtime launches do not

@@ -108,9 +108,12 @@ class CellRecord:
 class SweepContext:
     """Shared per-sweep state the backends draw on.
 
-    One calibration per device (through the persistent cache under
-    ``cache_dir``) and the pool size every
-    :class:`~repro.runtime.BatchRuntime` uses.  Per-launch history is
+    One calibration per device: :meth:`params` is the sweep's only
+    calibration (through the persistent cache under ``cache_dir`` when
+    one is set), and every :class:`~repro.runtime.BatchRuntime` that
+    :meth:`runtime` builds is handed it, so a cache-less sweep runs the
+    Section-II microbenchmarks once per device and a warm one not at
+    all.  Also the pool size every runtime uses.  Per-launch history is
     deliberately off: the sweep appends one aggregate record, keeping
     the drift window comparable sweep-to-sweep.  Each runtime keeps its
     worker pool across the sweep's cells until :meth:`close`.
@@ -143,10 +146,10 @@ class SweepContext:
             self._runtimes[key] = BatchRuntime(
                 workers=self.workers,
                 device=DEVICES[device_name],
-                use_caches=self.cache_dir is not None,
-                cache_directory=self.cache_dir,
+                use_caches=False,
                 history=False,
                 faults=None if fault_plan == "none" else fault_plan,
+                params=self.params(device_name),
             )
         return self._runtimes[key]
 

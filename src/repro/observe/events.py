@@ -80,7 +80,7 @@ EVENTS: Dict[str, Tuple[MetricRow, ...]] = {
     ),
     "resilience.inline": (
         MetricRow("counter", "repro_chunk_inline_total", None, ("op",),
-                  "Chunks rescued inline after pool retries."),
+                  "Chunks rescued inline after their retries."),
     ),
     "resilience.rebuild": (
         MetricRow("counter", "repro_pool_rebuilds_total", None, ("reason",),

@@ -5,8 +5,9 @@ at production scale a hung worker, one singular matrix, or a truncated
 cache file must not cost the launch.  This package makes failure a
 first-class, observable, *testable* outcome of the batch runtime:
 
-* :mod:`~repro.resilience.policy` -- :class:`RetryPolicy`: per-chunk
-  deadlines and capped exponential backoff;
+* :mod:`~repro.resilience.policy` -- :class:`RetryPolicy`: the
+  per-chunk retry budget, and the deadlines and capped exponential
+  backoff of pool attempts;
 * :mod:`~repro.resilience.supervisor` -- the per-chunk supervisor that
   retries, rebuilds broken pools, kills hung workers, and rescues a
   chunk inline only after its retries are exhausted, on the

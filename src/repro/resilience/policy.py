@@ -1,11 +1,13 @@
 """Retry and deadline policy for supervised chunk execution.
 
 One :class:`RetryPolicy` governs every chunk of a launch: how many times
-a failed attempt may be resubmitted to the pool, how long the supervisor
-backs off between attempts (capped exponential, deterministic -- no
-jitter, so a seeded fault plan replays identically), and the wall-clock
-deadline after which an in-flight attempt is declared hung and its
-worker killed.
+a failed attempt may be retried before the inline last resort, how long
+the supervisor backs off before resubmitting an attempt to the pool
+(capped exponential, deterministic -- no jitter, so a seeded fault plan
+replays identically), and the wall-clock deadline after which an
+in-flight pool attempt is declared hung and its worker killed.  Backoff
+and deadlines are pool-only: an in-process attempt has no worker to
+wait for or kill, so serial retries run at once.
 
 ``timeout_s`` defaults to ``None`` (no deadline): the failure-free path
 must behave exactly like the unsupervised runtime, and a spurious
@@ -28,18 +30,22 @@ class RetryPolicy:
     Attributes
     ----------
     max_retries:
-        Pool resubmissions allowed per chunk after the first attempt.
-        When exhausted, the chunk runs inline in the launch process as a
-        last resort; an inline failure propagates (see
+        Retries allowed per chunk after the first attempt, on the pool
+        and in-process alike.  When exhausted, the chunk gets one more
+        attempt inline in the launch process as a last resort, so a
+        chunk gets at most ``max_retries + 2`` attempts; a failed last
+        resort propagates (see
         :class:`~repro.resilience.supervisor.ChunkFailedError`).
     backoff_s:
-        Base delay before the first resubmission; attempt ``k`` waits
-        ``min(backoff_s * 2**(k-1), backoff_cap_s)``.
+        Base delay before the first pool resubmission; pool attempt
+        ``k`` waits ``min(backoff_s * 2**(k-1), backoff_cap_s)``.
+        In-process retries and the inline last resort never wait.
     backoff_cap_s:
         Upper bound on the backoff delay.
     timeout_s:
-        Per-attempt wall-clock deadline.  ``None`` disables deadlines
-        entirely (the default).  A timed-out attempt counts as a retry.
+        Per-attempt wall-clock deadline of a pool attempt.  ``None``
+        disables deadlines entirely (the default).  A timed-out attempt
+        counts as a retry.  In-process attempts have no deadline.
     """
 
     max_retries: int = 2
@@ -58,7 +64,8 @@ class RetryPolicy:
     def backoff_delay(self, attempt: int) -> float:
         """Seconds to wait before submitting attempt ``attempt`` (0-based).
 
-        Attempt 0 (the first submission) never waits.
+        Attempt 0 (the first submission) never waits.  Only the pool
+        supervisor waits; in-process attempts run at once.
         """
         if attempt <= 0 or self.backoff_s == 0:
             return 0.0

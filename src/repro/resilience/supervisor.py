@@ -8,8 +8,8 @@ supervisor makes failure *per chunk*:
   ``None`` disables) -- an overdue attempt's worker is killed and the
   chunk resubmitted;
 * a failed attempt (worker exception, checksum mismatch, broken pool) is
-  **retried** with capped exponential backoff up to
-  ``RetryPolicy.max_retries`` times;
+  **retried** up to ``RetryPolicy.max_retries`` times; a pool
+  resubmission first waits the policy's capped exponential backoff;
 * a **broken pool** (worker died hard) is torn down and rebuilt; chunks
   that were merely in flight at teardown time are resubmitted without
   burning a retry, and the rebuilt pool is the one later launches use;
@@ -17,6 +17,12 @@ supervisor makes failure *per chunk*:
   process as a last resort; only an inline failure surfaces, as
   :class:`ChunkFailedError` -- and by then every other chunk's outcome
   is already safe (and journaled, when checkpointing is on).
+
+:func:`supervise_serial` gives each chunk the same budget --
+``max_retries`` retries, then the ``inline`` last resort -- so one fault
+plan has one outcome at any worker count.  Its attempts all run in the
+launch process, so they neither back off nor time out: there is no
+worker or pool to wait for.
 
 Completed chunks are never re-executed, and outcomes are keyed by chunk
 index, so the submission-order merge -- and therefore bitwise output
@@ -265,6 +271,42 @@ class ChunkSpans:
         return self.emitter.now() if self.emitter is not None else 0.0
 
 
+def _attempt_inline(
+    execute: Callable,
+    index: int,
+    payload: tuple,
+    attempt: int,
+    *,
+    nchunks: int,
+    faults,
+    spans: ChunkSpans,
+    inline: bool,
+) -> Tuple[object, Optional[str], Optional[BaseException]]:
+    """One attempt of chunk ``index`` in the launch process.
+
+    Returns ``(outcome, None, None)`` for a verified outcome, else
+    ``(None, reason, exception)`` with ``reason`` ``"crash"`` or
+    ``"corrupt"``.  The submission is an instantaneous hand-off, so its
+    span is zero-width; ``inline`` marks the last-resort attempt.
+    """
+    start = spans.now()
+    span_args = {"inline": True} if inline else {}
+    spans.submit(index, start, start, attempt=attempt, op=payload[0], **span_args)
+    try:
+        outcome = execute(
+            *payload,
+            chunk_index=index,
+            attempt=attempt,
+            nchunks=nchunks,
+            faults=faults,
+        )
+    except Exception as exc:  # noqa: BLE001 -- the caller retries or gives up
+        return None, "crash", exc
+    if not _verified(outcome):
+        return None, "corrupt", None
+    return outcome, None, None
+
+
 def supervise_serial(
     entries: Sequence[Entry],
     *,
@@ -275,14 +317,19 @@ def supervise_serial(
     on_complete: Optional[Callable[[int, object], None]] = None,
     profile=None,
 ) -> Tuple[Dict[int, object], SuperviseStats]:
-    """Run chunks inline with the same retry semantics as the pool.
+    """Run chunks inline with the pool's attempt budget.
 
-    Deadlines cannot be enforced in-process (there is no worker to
-    kill), so ``timeout_s`` is ignored here; crash and corruption
-    recovery behave exactly like the pool path.  ``profile`` is an
-    optional :class:`~repro.observe.profile.ProfileEmitter`: inline
-    execution emits the same ``chunk``/``submit`` span structure as the
-    pool (submissions are instantaneous hand-offs, so their spans are
+    A failed chunk is retried ``policy.max_retries`` times and then gets
+    one last-resort attempt, noted as ``inline`` -- exactly what
+    :func:`supervise_pool` gives it -- so a crash or corruption plan
+    leaves the same output and the same ``retry``/``inline`` counts at
+    any worker count.  Only a failed last resort raises
+    :class:`ChunkFailedError`.  Every attempt runs at once: there is no
+    worker to kill or pool to wait for, so ``backoff_s`` and
+    ``timeout_s`` do not apply here.  ``profile`` is an optional
+    :class:`~repro.observe.profile.ProfileEmitter`: inline execution
+    emits the same ``chunk``/``submit`` span structure as the pool
+    (submissions are instantaneous hand-offs, so their spans are
     zero-width), keeping serial and sharded trees comparable.
     """
     outcomes: Dict[int, object] = {}
@@ -290,38 +337,30 @@ def supervise_serial(
     spans = ChunkSpans(profile)
     for index, payload in entries:
         op = payload[0]
-        attempt = 0
-        while True:
-            delay = policy.backoff_delay(attempt)
-            if delay:
-                time.sleep(delay)
-            start = spans.now()
-            spans.submit(index, start, start, attempt=attempt, op=op)
-            failure = None
-            try:
-                outcome = execute(
-                    *payload,
-                    chunk_index=index,
-                    attempt=attempt,
-                    nchunks=nchunks,
-                    faults=faults,
-                )
-            except Exception as exc:  # noqa: BLE001 -- every failure retries
-                failure = ("crash", exc)
-            else:
-                if not _verified(outcome):
-                    failure = ("corrupt", None)
-            if failure is None:
-                outcomes[index] = outcome
-                spans.complete(index, spans.now(), op=op, attempts=attempt + 1)
-                if on_complete is not None:
-                    on_complete(index, outcome)
+        for attempt in range(policy.max_retries + 2):
+            rescue = attempt > policy.max_retries
+            if rescue:
+                stats.note("inline", chunk=index, reason=reason, op=op)
+            elif attempt:
+                stats.note("retry", chunk=index, attempt=attempt, reason=reason, op=op)
+            outcome, reason, exc = _attempt_inline(
+                execute,
+                index,
+                payload,
+                attempt,
+                nchunks=nchunks,
+                faults=faults,
+                spans=spans,
+                inline=rescue,
+            )
+            if reason is None:
                 break
-            reason, exc = failure
-            if attempt >= policy.max_retries:
-                raise ChunkFailedError(index, op, reason) from exc
-            attempt += 1
-            stats.note("retry", chunk=index, attempt=attempt, reason=reason, op=op)
+        else:
+            raise ChunkFailedError(index, op, reason) from exc
+        outcomes[index] = outcome
+        spans.complete(index, spans.now(), op=op, attempts=attempt + 1)
+        if on_complete is not None:
+            on_complete(index, outcome)
     return outcomes, stats
 
 
@@ -374,18 +413,18 @@ def supervise_pool(
         # one -- fault plans count attempts, so a fault scoped to the
         # pool attempts (count = max_retries + 1) leaves this run clean.
         attempts[index] += 1
-        start = spans.now()
-        spans.submit(index, start, start, attempt=attempts[index], op=op, inline=True)
-        try:
-            outcome = execute(
-                *payloads[index],
-                chunk_index=index,
-                attempt=attempts[index],
-                nchunks=nchunks,
-                faults=faults,
-            )
-        except Exception as exc:  # noqa: BLE001 -- terminal path
-            raise ChunkFailedError(index, op, reason) from exc
+        outcome, failure, exc = _attempt_inline(
+            execute,
+            index,
+            payloads[index],
+            attempts[index],
+            nchunks=nchunks,
+            faults=faults,
+            spans=spans,
+            inline=True,
+        )
+        if failure is not None:
+            raise ChunkFailedError(index, op, failure) from exc
         outcomes[index] = outcome
         spans.complete(index, spans.now(), op=op, attempts=attempts[index] + 1)
         if on_complete is not None:

@@ -369,6 +369,13 @@ class BatchRuntime:
         entirely -- the escape hatch the overhead tripwire in
         ``bench_runtime_scaling`` measures against.  It runs on the same
         kept pool.
+    params:
+        Table-IV :class:`~repro.model.parameters.ModelParameters` the
+        caller already holds for ``device`` (keyword-only); the runtime
+        then never calibrates.  A sweep passes its one calibration to
+        every runtime it builds.  ``None`` (the default) calibrates on
+        first use (:meth:`parameters`).  ``params.device`` must equal
+        ``device``, else ``ValueError``.
     """
 
     def __init__(
@@ -384,7 +391,14 @@ class BatchRuntime:
         faults=None,
         checkpoint=None,
         resilience: bool = True,
+        *,
+        params: Optional[ModelParameters] = None,
     ) -> None:
+        if params is not None and params.device != device:
+            raise ValueError(
+                f"params were calibrated for {params.device.name}, "
+                f"not for the runtime's device {device.name}"
+            )
         self.workers = default_workers() if workers is None else max(1, int(workers))
         self.chunk_cost = float(chunk_cost)
         self.device = device
@@ -407,7 +421,7 @@ class BatchRuntime:
         self.checkpoint = self._resolve_checkpoint(
             checkpoint, cache_directory, self.faults
         )
-        self._params: Optional[ModelParameters] = None
+        self._params = params
         self._pool = WorkerPool(self.workers, start_method)
         # Shuts the pool down when the runtime is dropped or the
         # interpreter exits; ``close`` does it on demand.
@@ -466,8 +480,9 @@ class BatchRuntime:
     def parameters(self) -> ModelParameters:
         """Table-IV parameters for this device, calibrating at most once.
 
-        A warm :class:`CalibrationCache` skips the microbenchmark sweep
-        entirely (no ``calibrate`` span is emitted); the result is also
+        The ``params`` the runtime was built with, if any; otherwise a
+        warm :class:`CalibrationCache` skips the microbenchmark sweep
+        entirely (no ``calibrate`` span is emitted).  The result is
         memoized on the runtime instance.
         """
         if self._params is None:

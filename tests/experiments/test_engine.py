@@ -1,5 +1,6 @@
 """Engine determinism, artifacts, history, and the CLI."""
 
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 from repro.experiments import run_spec, spec_from_dict
 from repro.experiments.cli import main
 from repro.experiments.engine import journal_path
+from repro.experiments.spec import DEVICES
+from repro.observe import tracing
 
 
 def small_doc(**overrides):
@@ -112,6 +115,84 @@ def spec_cells(spec):
     from repro.experiments import expand_cells
 
     return expand_cells(spec)[0]
+
+
+class TestCalibration:
+    """A sweep calibrates once per device, and every runtime reuses it."""
+
+    DEVICES = ("quadro6000", "gtx480")
+
+    def spec(self):
+        doc = small_doc(policy={"batch": 8})
+        doc["axes"].update(
+            device=list(self.DEVICES),
+            op=["lu"],
+            size=[8],
+            approach=["per_thread", "runtime"],
+            fault_plan=["none", "crash@0"],
+        )
+        return spec_from_dict(doc)
+
+    @staticmethod
+    def calibrations(tracer):
+        """Device name -> ``calibrate`` spans in ``tracer``."""
+        assert tracer.dropped == 0
+        spans: dict = {}
+        for event in tracer.events:
+            if event.name == "calibrate" and event.ph == "X":
+                spans[event.args["device"]] = spans.get(event.args["device"], 0) + 1
+        return spans
+
+    @staticmethod
+    def cache_hits(tracer):
+        return [e for e in tracer.events if e.name == "calibrate.cache_hit"]
+
+    def test_cacheless_sweep_calibrates_once_per_device(self, tmp_path, monkeypatch):
+        from repro.runtime import BatchRuntime
+
+        # The package re-exports the function under the module's name.
+        calibrate_mod = importlib.import_module("repro.microbench.calibrate")
+
+        measured, reports = [], []
+        real_calibrate, real_run = calibrate_mod.calibrate, BatchRuntime.run
+
+        def calibrate(*args, **kwargs):
+            measured.append(real_calibrate(*args, **kwargs))
+            return measured[-1]
+
+        def run(runtime, *args, **kwargs):
+            reports.append(real_run(runtime, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(calibrate_mod, "calibrate", calibrate)
+        monkeypatch.setattr(BatchRuntime, "run", run)
+        with tracing() as tracer:
+            result = run_spec(self.spec(), tmp_path / "out", workers=1)
+        assert result.counts == {"ok": 6}
+        assert self.calibrations(tracer) == {
+            DEVICES[name].name: 1 for name in self.DEVICES
+        }
+        assert len(measured) == len(self.DEVICES)
+        # Two runtime cells per device, each handed the sweep's params.
+        assert len(reports) == 2 * len(self.DEVICES)
+        by_device = {params.device: params for params in measured}
+        for report in reports:
+            assert report.params is by_device[report.params.device]
+
+    def test_cached_sweep_calibrates_cold_and_hits_warm_once(self, tmp_path):
+        spec, cache = self.spec(), tmp_path / "cache"
+        with tracing() as cold:
+            assert run_spec(spec, tmp_path / "cold", workers=1, cache_dir=cache).ok
+        with tracing() as warm:
+            assert run_spec(spec, tmp_path / "warm", workers=1, cache_dir=cache).ok
+        assert self.calibrations(cold) == {
+            DEVICES[name].name: 1 for name in self.DEVICES
+        }
+        assert self.cache_hits(cold) == []
+        assert self.calibrations(warm) == {}
+        assert sorted(e.args["device"] for e in self.cache_hits(warm)) == sorted(
+            DEVICES[name].name for name in self.DEVICES
+        )
 
 
 class TestCli:

@@ -132,19 +132,50 @@ class TestHangRecovery:
 
 
 class TestInlineRescue:
-    def test_pool_exhaustion_falls_back_inline(self, metrics_registry):
-        # count == max_retries + 1 makes every pool attempt crash while
-        # the inline rescue (the next attempt number) stays clean.
+    """One fault plan, one outcome: the serial path has the pool's budget.
+
+    Both paths give a chunk ``max_retries`` retries and then one inline
+    last resort, so the same plan leaves the same output and the same
+    ``retry``/``inline`` counts on one worker as on two.
+    """
+
+    POLICY = RetryPolicy(max_retries=1, backoff_s=0.0)
+
+    @pytest.mark.parametrize("kind", ["crash", "corrupt"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_exhaustion_falls_back_inline(self, metrics_registry, workers, kind):
+        # count == max_retries + 1 makes every retry fail while the
+        # inline rescue (the next attempt number) stays clean.
         matrices = diagonally_dominant_batch(32, 6, seed=6)
         ref = _reference(matrices)
-        policy = RetryPolicy(max_retries=1, backoff_s=0.0)
         with _runtime(
-            workers=2,
-            retry_policy=policy,
-            faults=FaultSpec(kind="crash", chunks=(0,), count=policy.max_retries + 1),
+            workers=workers,
+            retry_policy=self.POLICY,
+            faults=FaultSpec(kind=kind, chunks=(0,), count=self.POLICY.max_retries + 1),
         ) as runtime:
             report = runtime.run(ProblemBatch.single("lu", matrices))
+        assert report.mode == ("process" if workers > 1 else "serial")
         assert np.array_equal(report.output, ref.output)
+        assert report.counters.snapshot() == ref.counters.snapshot()
+        assert metrics_registry.value("repro_chunk_inline_total", op="lu") == 1
+        assert (
+            metrics_registry.value("repro_chunk_retries_total", op="lu", reason=kind)
+            == self.POLICY.max_retries
+        )
+
+    @pytest.mark.parametrize("kind", ["crash", "corrupt"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_inline_rescue_raises(self, metrics_registry, workers, kind):
+        # count == max_retries + 2 reaches the last resort too.
+        matrices = diagonally_dominant_batch(32, 6, seed=6)
+        with _runtime(
+            workers=workers,
+            retry_policy=self.POLICY,
+            faults=FaultSpec(kind=kind, chunks=(0,), count=self.POLICY.max_retries + 2),
+        ) as runtime:
+            with pytest.raises(ChunkFailedError, match="chunk 0") as excinfo:
+                runtime.run(ProblemBatch.single("lu", matrices))
+        assert excinfo.value.reason == kind
         assert metrics_registry.value("repro_chunk_inline_total", op="lu") == 1
 
 
@@ -298,6 +329,32 @@ class TestSuperviseAccounting:
         assert sorted(journal) == [0, 1, 2]
         assert len(journal) == len(set(journal))
 
+    @pytest.mark.parametrize("fail_below", [1, 3, 4])
+    def test_serial_and_pool_share_the_attempt_budget(self, tmp_path, pool, fail_below):
+        # max_retries = 2: 1 failure -> one retry; 3 -> two retries and
+        # the inline rescue; 4 -> the rescue fails too.
+        runs = {}
+        for name, supervise, kwargs in (
+            ("serial", supervise_serial, {}),
+            ("pool", supervise_pool, {"pool": pool}),
+        ):
+            markers = tmp_path / name
+            markers.mkdir()
+            try:
+                _, stats = supervise(
+                    _entries(markers, 3, fail_chunks=(1,), fail_below=fail_below),
+                    execute=_stub_execute,
+                    policy=self.POLICY,
+                    nchunks=3,
+                    **kwargs,
+                )
+                result = dict(stats.counts)
+            except ChunkFailedError as exc:
+                result = (exc.index, exc.reason)
+            runs[name] = (result, _executions(markers)[1])
+        assert runs["serial"] == runs["pool"]
+        assert runs["serial"][1] == set(range(min(fail_below, 3) + 1))
+
     def test_permanent_failure_identifies_chunk(self, tmp_path):
         with pytest.raises(ChunkFailedError) as excinfo:
             supervise_serial(
@@ -308,3 +365,35 @@ class TestSuperviseAccounting:
             )
         assert excinfo.value.index == 1
         assert excinfo.value.reason == "crash"
+
+
+class TestBackoff:
+    """Backoff spaces out pool resubmissions; in-process retries run at once."""
+
+    def test_serial_retries_never_sleep(self, tmp_path, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"in-process retry slept {seconds} s")
+
+        monkeypatch.setattr("repro.resilience.supervisor.time.sleep", no_sleep)
+        outcomes, stats = supervise_serial(
+            _entries(tmp_path, 2, fail_chunks=(0,), fail_below=2),
+            execute=_stub_execute,
+            policy=RetryPolicy(backoff_s=30.0),
+            nchunks=2,
+        )
+        assert [outcomes[i].value for i in range(2)] == [0, 10]
+        assert stats.retries == 2
+
+    def test_pool_resubmission_backs_off(self, tmp_path, pool, monkeypatch):
+        slept = []
+        monkeypatch.setattr("repro.resilience.supervisor.time.sleep", slept.append)
+        outcomes, stats = supervise_pool(
+            _entries(tmp_path, 2, fail_chunks=(0,), fail_below=1),
+            execute=_stub_execute,
+            pool=pool,
+            policy=RetryPolicy(backoff_s=0.2),
+            nchunks=2,
+        )
+        assert [outcomes[i].value for i in range(2)] == [0, 10]
+        assert stats.retries == 1
+        assert slept == [0.2]

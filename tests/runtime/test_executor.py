@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.gpu.device import G80, QUADRO_6000
 from repro.kernels.batched import diagonally_dominant_batch, random_batch, run_batched
 from repro.kernels.device import per_block_lu, per_block_qr
+from repro.microbench import calibrate
 from repro.model.flops import lu_flops
 from repro.observe import metrics as metrics_mod
 from repro.observe import tracing
@@ -253,6 +255,19 @@ class TestRuntimeCaches:
         assert runtime.calibration_cache is None
         assert runtime.dispatch_cache is None
         assert runtime.parameters() is runtime.parameters()
+
+    def test_given_params_are_used_without_calibrating(self):
+        params = calibrate(QUADRO_6000)
+        batch = ProblemBatch.single("lu", diagonally_dominant_batch(8, 8, seed=10))
+        runtime = BatchRuntime(workers=1, use_caches=False, params=params)
+        with tracing() as tracer:
+            report = runtime.run(batch)
+        assert report.params is params
+        assert not [e for e in tracer.events if e.name.startswith("calibrate")]
+
+    def test_params_for_another_device_are_rejected(self):
+        with pytest.raises(ValueError, match="NVIDIA G80"):
+            BatchRuntime(device=G80, use_caches=False, params=calibrate(QUADRO_6000))
 
 
 class TestFleetTelemetry:
