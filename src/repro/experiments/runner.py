@@ -24,6 +24,11 @@ cpu        qr, lu, gauss_jordan,          float32, complex64
            least_squares
 ========== ============================== ==========================
 
+``per_thread`` cells also need ``n <= 128`` and a device whose SM places
+one 256-thread block of them
+(:func:`~repro.kernels.device.per_thread.per_thread_placement`, the
+check the launch itself makes).
+
 ``runtime`` cells execute real batched kernels through the sharded
 :class:`~repro.runtime.BatchRuntime` -- chunk supervision, payload
 checksums, quarantine, and (via the ``fault_plan`` axis) deterministic
@@ -45,6 +50,8 @@ from typing import Optional, get_args
 import numpy as np
 
 from ..approaches.base import Kind
+from ..errors import LaunchConfigurationError
+from ..kernels.device.per_thread import per_thread_placement
 from ..kernels.device.registry import KERNELS, RUNTIME_KERNELS
 from ..model.per_block_model import predict_per_block
 from ..model.per_thread_model import predict_per_thread
@@ -180,6 +187,10 @@ def supported(cell: Cell) -> Optional[str]:
             return f"per_thread takes real dtypes, not {cell.precision}"
         if cell.size > 128:
             return "per_thread caps at n <= 128 (register/local residency)"
+        try:
+            per_thread_placement(cell.size, DEVICES[cell.device])
+        except LaunchConfigurationError as exc:
+            return f"per_thread places no block on {cell.device}: {exc}"
         return None
     # Approach-layer replays: Workload kinds, float32 or complex64.
     if cell.op not in WORKLOAD_OPS:

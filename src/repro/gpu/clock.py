@@ -11,7 +11,9 @@ Every total is a left fold in charge order (:func:`fold`), never the
 builtin ``sum()``: Python 3.12 made float ``sum()`` compensated, which
 would move cycle counts by an ulp between interpreter versions.
 :func:`fold_steps` is the same fold for a loop whose steps charged
-arrays, one value per step: :func:`numpy.cumsum` adds left to right too.
+arrays, one value per step: it lays every sum's increments out once, in
+one array with a column per sum, and adds down the columns left to right
+too, with no second full-size array.
 """
 
 from __future__ import annotations
@@ -54,24 +56,35 @@ def fold_steps(steps: int, tapes: Sequence[Tape], starts: list, firsts: list) ->
     the steps into segments, each starting at its first step; ``starts``
     holds each tape's start for each segment, tape by tape.  A sum adds
     the tape's increments of its segment's first step, then of the next
-    step, and so on, left to right with :func:`numpy.cumsum`: the bits
-    of ``+=`` in a loop.  Returns the sums in the order of ``starts``.
+    step, and so on, left to right: the bits of ``+=`` in a loop.
+    Returns the sums in the order of ``starts``.
+
+    The increments are laid out once, in the only full-size array: a
+    column per sum, in the order of ``starts``, and a row per position
+    (step by step, part by part).  :func:`numpy.add.reduce` down the
+    rows adds them one row at a time when there are two or more columns;
+    a single column is summed in place with :func:`numpy.cumsum`,
+    because a one-column reduce adds pairwise.
     """
-    # Each tape's increments in the order the loop adds them (step by
-    # step, part by part), zero past the end of a shorter tape.
-    added = np.zeros((len(tapes), steps, max(len(tape.parts) for tape in tapes)))
+    if len(firsts) == 1:
+        longest, rows, segment = steps, slice(None), 0
+    else:  # each step's position in its segment, and its segment
+        counts = np.diff(firsts + [steps])
+        longest = counts.max()
+        rows = np.arange(steps) - np.repeat(firsts, counts)
+        segment = np.repeat(np.arange(len(firsts)), counts)
+    # Position (step in segment, part) by sum (tape, segment), zero past
+    # the end of a shorter tape or segment.
+    width = max(len(tape.parts) for tape in tapes)
+    added = np.zeros((longest, width, len(tapes), len(firsts)))
     for t, tape in enumerate(tapes):
         for p, part in enumerate(tape.parts):
-            added[t, :, p] = part
-    if len(firsts) > 1:  # one row per segment
-        counts = np.diff(firsts + [steps])
-        laid = np.zeros((len(tapes), len(firsts), counts.max(), added.shape[2]))
-        segment = np.repeat(np.arange(len(firsts)), counts)
-        laid[:, segment, np.arange(steps) - np.repeat(firsts, counts)] = added
-        added = laid
-    added = added.reshape(len(starts), -1)
-    added[:, 0] += starts
-    return added.cumsum(axis=1)[:, -1].tolist()
+            added[rows, p, t, segment] = part
+    added = added.reshape(-1, len(starts))
+    added[0] += starts
+    if added.shape[1] == 1:
+        return np.cumsum(added, axis=0, out=added)[-1].tolist()
+    return np.add.reduce(added, axis=0).tolist()
 
 
 class CycleBreakdown(dict):

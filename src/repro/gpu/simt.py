@@ -37,8 +37,9 @@ shared latency, the sync cost at its thread count, the spill fraction.
 A cost program's column loop charges step by step only when its events
 are observed (a tracer, the sanitizer, a recording engine); otherwise
 it runs once inside :meth:`BlockEngine.fold`, its charges taking one
-array of values per step, and each accumulator adds those up with
-:func:`numpy.cumsum` in charge order.  So the fixed cost of a launch,
+array of values per step, and :func:`~repro.gpu.clock.fold_steps` lays
+the accumulators' increments out in one array, a column per sum, and
+adds down it in charge order.  So the fixed cost of a launch,
 not the cost of a charge, sets the host time of ``PerBlockApproach``
 sweeps.  Traced device launches step each shape's program once, under
 a recording tracer, and every traced launch of that shape replays the
@@ -483,7 +484,10 @@ class BlockEngine:
         clock's category and phase totals and the event counts -- is a
         :class:`~repro.gpu.clock.Tape`; on exit :func:`fold_steps` adds
         each tape to its accumulator step by step, in charge order: the
-        same bits as running the body once per step.  A phase opened with
+        same bits as running the body once per step.  The tapes that sum
+        whole go to one :func:`fold_steps` call and the panel-split
+        tapes to another, so a fold holds at most one full-size array of
+        increments at a time.  A phase opened with
         per-step panels (one array for the whole body) sums panel by
         panel into ``panel{p}:{name}`` phases, created in the order the
         step-by-step run creates them.

@@ -26,14 +26,19 @@ import numpy as np
 
 from ...gpu.device import QUADRO_6000, DeviceSpec
 from ...gpu.memory_system import MemorySystem
-from ...gpu.occupancy import occupancy
+from ...gpu.occupancy import Occupancy, occupancy
 from ...gpu.registers import RegisterAllocation, registers_for_matrix
 from ...model.flops import lu_flops, matrix_bytes, qr_flops, qr_flops_complex
 from ..batched.lu import lu_factor
 from ..batched.qr import qr_factor
 from ..batched.validate import as_batch, check_square_batch
 
-__all__ = ["PerThreadResult", "per_thread_factor", "spill_touches"]
+__all__ = [
+    "PerThreadResult",
+    "per_thread_factor",
+    "per_thread_placement",
+    "spill_touches",
+]
 
 Kind = Literal["qr", "lu"]
 
@@ -45,6 +50,31 @@ def spill_touches(n: int) -> int:
     given element sits in the trailing matrix for about half of them.
     """
     return max(1, n // 2)
+
+
+def per_thread_placement(
+    n: int,
+    device: DeviceSpec = QUADRO_6000,
+    complex_dtype: bool = False,
+    threads_per_block: int = 256,
+) -> tuple[RegisterAllocation, Occupancy]:
+    """The registers and resident blocks of a per-thread launch at ``n``.
+
+    Each thread asks for its whole ``n x n`` matrix in registers, capped
+    at the per-thread limit (the rest spills).  Raises
+    :class:`~repro.errors.LaunchConfigurationError` when not even one
+    block of ``threads_per_block`` threads fits on an SM -- on a small
+    register file, already at single-digit ``n``.
+    """
+    regs = RegisterAllocation(
+        device, registers_for_matrix(n, n, complex_dtype=complex_dtype)
+    )
+    occ = occupancy(
+        device,
+        threads_per_block,
+        min(regs.granted(), device.max_registers_per_thread),
+    )
+    return regs, occ
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,12 +111,15 @@ def per_thread_factor(
     """Factor a batch with one problem per thread.
 
     ``output``/``extra`` are the packed factors exactly as the batched
-    kernels return them (QR: packed + taus; LU: packed + flags).
+    kernels return them (QR: packed + taus; LU: packed + flags).  A
+    launch that places no block (:func:`per_thread_placement`) raises
+    before the numerics run.
     """
     a = as_batch(a)
     check_square_batch(a)
     batch, n, _ = a.shape
     is_complex = np.iscomplexobj(a)
+    regs, occ = per_thread_placement(n, device, is_complex, threads_per_block)
 
     if kind == "qr":
         factors = qr_factor(a, fast_math=fast_math)
@@ -101,9 +134,6 @@ def per_thread_factor(
 
     # --- Timing -------------------------------------------------------
     memory = MemorySystem(device)
-    regs = RegisterAllocation(
-        device, registers_for_matrix(n, n, complex_dtype=is_complex)
-    )
 
     # DRAM traffic: the matrix in and out, plus spill re-touches.  The
     # spilled fraction of the matrix bounces through L1 to DRAM (the L1
@@ -115,11 +145,6 @@ def per_thread_factor(
 
     # Compute bound: all FPUs at peak, derated by the occupancy the
     # register demand allows (latency is hidden by multithreading).
-    occ = occupancy(
-        device,
-        threads_per_block,
-        min(regs.granted(), device.max_registers_per_thread),
-    )
     efficiency = min(1.0, occ.occupancy_fraction * 2.0)  # >=50% occupancy is enough
     compute_seconds = batch * flops / (device.peak_sp_flops * efficiency)
 

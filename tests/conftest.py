@@ -1,6 +1,7 @@
 """Suite-wide checks shared by every test package."""
 
 import multiprocessing
+import tracemalloc
 
 import pytest
 
@@ -17,3 +18,27 @@ def no_leaked_workers():
     yield
     leaked = set(multiprocessing.active_children()) - before
     assert not leaked, f"test left worker processes alive: {sorted(leaked, key=str)}"
+
+
+@pytest.fixture
+def traced_peak():
+    """A function giving the ``tracemalloc`` peak, in MB, of one call.
+
+    NumPy reports its buffers to ``tracemalloc``, so the reading counts
+    the arrays a call holds at once, not the interpreter's footprint.
+    """
+
+    def peak(call) -> float:
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return peak

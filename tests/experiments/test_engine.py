@@ -65,6 +65,25 @@ class TestRunSpec:
         assert by_status["unsupported"] == 2
         assert result.ok  # unsupported is not a failure
 
+    def test_per_thread_cell_that_places_no_block_is_unsupported(self, tmp_path):
+        # A g80 SM's 8K registers hold a 256-thread block of 4x4
+        # per-thread matrices, but not of 8x8 ones.
+        doc = small_doc()
+        doc["axes"].update(device=["g80"], approach=["per_thread"])
+        result = run_spec(
+            spec_from_dict(doc), tmp_path / "out", cache_dir=tmp_path / "cache"
+        )
+        status = {(r.cell.op, r.cell.size): r for r in result.records}
+        assert {key: r.status for key, r in status.items()} == {
+            ("lu", 4): "ok",
+            ("qr", 4): "ok",
+            ("lu", 8): "unsupported",
+            ("qr", 8): "unsupported",
+        }
+        for op in ("lu", "qr"):
+            assert "registers allows 0" in status[op, 8].note
+        assert result.ok and "failed" not in result.counts
+
     def test_budget_overrun_reported(self, tmp_path):
         doc = small_doc(policy={"batch": 8, "budget_s": 1e-12})
         result = run_spec(

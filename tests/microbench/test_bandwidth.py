@@ -79,3 +79,35 @@ class TestGlobalBandwidth:
     def test_empty_array_rejected(self):
         with pytest.raises(ValueError):
             measure_global_bandwidth(QUADRO_6000, array_bytes=0)
+
+
+class TestStreamingCopy:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("array_bytes", 0),
+            ("array_bytes", -4),
+            ("array_bytes", 3),
+            ("array_bytes", 6),
+            ("unroll", 0),
+            ("unroll", -2),
+        ],
+    )
+    def test_invalid_argument_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            measure_global_bandwidth(QUADRO_6000, **{name: value})
+
+    def test_copy_holds_one_full_size_array(self, traced_peak):
+        # The 16 MB destination plus one 2 MB unroll block of source; a
+        # source and a mask beside the destination read 36 MB.
+        assert traced_peak(lambda: measure_global_bandwidth(QUADRO_6000)) <= 20.0
+
+    @pytest.mark.parametrize("unroll", [1, 3, 1000])
+    def test_every_partition_checks_out(self, unroll):
+        # 1003 words: blocks of 1003, 334 and 1 word(s), and tails of 0, 1
+        # and 3 words (unroll 8 is the ``tail`` case above).
+        res = measure_global_bandwidth(
+            QUADRO_6000, array_bytes=4 * 1003, unroll=unroll
+        )
+        assert res.checksum_ok is True
+        assert res.bytes_moved == 2 * 4 * 1003
