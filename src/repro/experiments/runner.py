@@ -155,7 +155,8 @@ class SweepContext:
                 device=DEVICES[device_name],
                 use_caches=False,
                 history=False,
-                faults=None if fault_plan == "none" else fault_plan,
+                # An empty plan, not ``None``: ``None`` reads REPRO_FAULTS.
+                faults=() if fault_plan == "none" else fault_plan,
                 params=self.params(device_name),
             )
         return self._runtimes[key]

@@ -26,7 +26,7 @@ from .registers import RegisterAllocation, registers_for_matrix
 from .shared_memory import SharedMemory, conflict_degree
 from .simt import BlockEngine, LaunchResult
 from .tlb import Tlb
-from .warp import exposed_latency, issue_cycles, warps_in_block
+from .warp import warps_in_block
 
 __all__ = [
     "CycleBreakdown",
@@ -59,7 +59,5 @@ __all__ = [
     "BlockEngine",
     "LaunchResult",
     "Tlb",
-    "exposed_latency",
-    "issue_cycles",
     "warps_in_block",
 ]

@@ -1,15 +1,9 @@
-"""Warp-level scheduling helpers.
+"""Warp-level helpers.
 
-The engine charges dependent-chain latencies (the regime register-resident
-factorizations run in), but two warp-level effects still matter:
-
-* *latency hiding*: with enough resident warps, a stall of ``L`` cycles is
-  covered by other warps issuing; the exposed stall shrinks by the duty
-  factor computed here.  The one-problem-per-thread approach relies on
-  this to hide the 570-cycle DRAM latency entirely.
-* *issue serialization*: a block with ``w`` warps needs ``w`` issue slots
-  per instruction, which bounds throughput from below even when latency
-  is hidden.
+The engine charges dependent-chain latencies, the regime
+register-resident factorizations run in.  It prices neither latency
+hiding across resident warps nor issue serialization; what remains here
+is a block's warp count.
 """
 
 from __future__ import annotations
@@ -18,7 +12,7 @@ import math
 
 from .device import DeviceSpec
 
-__all__ = ["warps_in_block", "exposed_latency", "issue_cycles"]
+__all__ = ["warps_in_block"]
 
 
 def warps_in_block(device: DeviceSpec, threads: int) -> int:
@@ -26,30 +20,3 @@ def warps_in_block(device: DeviceSpec, threads: int) -> int:
     if threads < 1:
         raise ValueError("a block needs at least one thread")
     return math.ceil(threads / device.warp_size)
-
-
-def exposed_latency(
-    latency: float, active_warps: int, issue_interval: float = 1.0
-) -> float:
-    """Stall cycles actually visible to one warp's dependent chain.
-
-    While one warp waits ``latency`` cycles, the other ``active_warps - 1``
-    warps can each issue every ``issue_interval`` cycles; the stall is
-    fully hidden once ``(active_warps - 1) * issue_interval >= latency``.
-    """
-    if active_warps < 1:
-        raise ValueError("need at least one active warp")
-    covered = (active_warps - 1) * issue_interval
-    return max(0.0, latency - covered)
-
-
-def issue_cycles(instructions: float, warps: int, dual_issue: bool = False) -> float:
-    """Cycles the SM's issue stage needs for ``instructions`` per warp.
-
-    Each warp instruction occupies one scheduler slot; GF100's two
-    schedulers let independent instruction pairs dual-issue.
-    """
-    if warps < 1:
-        raise ValueError("need at least one warp")
-    rate = 2.0 if dual_issue else 1.0
-    return instructions * warps / rate

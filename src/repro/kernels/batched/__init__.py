@@ -21,14 +21,9 @@ from .alternatives import (
     gram_schmidt_qr,
     modified_gram_schmidt_qr,
 )
-from .blocked_qr import BlockedQrFactors, blocked_qr_factor, build_t_factor
 from .diagnostics import condition_estimate, lu_growth_factor
 from .eigen import EighResult, jacobi_eigh
-from .gauss_jordan import (
-    GaussJordanResult,
-    gauss_jordan_invert,
-    gauss_jordan_solve,
-)
+from .gauss_jordan import GaussJordanResult, gauss_jordan_solve
 from .least_squares import LeastSquaresResult, least_squares
 from .lu import (
     LuResult,
@@ -46,7 +41,6 @@ from .problems import (
     rhs_batch,
 )
 from .qr import QrFactors, apply_qt, qr_factor, qr_solve, qr_unpack
-from .svd import SvdResult, jacobi_svd
 from .trsm import solve_lower, solve_lower_unit, solve_upper
 from .validate import (
     lu_reconstruction_error,
@@ -65,15 +59,11 @@ __all__ = [
     "givens_qr",
     "gram_schmidt_qr",
     "modified_gram_schmidt_qr",
-    "BlockedQrFactors",
-    "blocked_qr_factor",
-    "build_t_factor",
     "condition_estimate",
     "lu_growth_factor",
     "EighResult",
     "jacobi_eigh",
     "GaussJordanResult",
-    "gauss_jordan_invert",
     "gauss_jordan_solve",
     "LeastSquaresResult",
     "least_squares",
@@ -89,8 +79,6 @@ __all__ = [
     "random_batch",
     "rhs_batch",
     "QrFactors",
-    "SvdResult",
-    "jacobi_svd",
     "apply_qt",
     "qr_factor",
     "qr_solve",

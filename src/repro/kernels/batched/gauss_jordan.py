@@ -24,7 +24,7 @@ from ...errors import ShapeError, SingularMatrixError
 from ._arith import arithmetic_mode
 from .validate import as_batch, check_square_batch
 
-__all__ = ["GaussJordanResult", "gauss_jordan_solve", "gauss_jordan_invert"]
+__all__ = ["GaussJordanResult", "gauss_jordan_solve"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,22 +94,3 @@ def gauss_jordan_solve(
         x = x[..., 0]
     return GaussJordanResult(x=x, not_solved=not_solved)
 
-
-def gauss_jordan_invert(
-    a: np.ndarray,
-    fast_math: bool = True,
-    on_singular: Literal["flag", "raise"] = "flag",
-) -> GaussJordanResult:
-    """Invert a batch of square matrices by Gauss-Jordan (no pivoting).
-
-    Equivalent to attaching the identity as ``n`` right-hand sides --
-    the classic augmented-matrix inversion.  Returns ``x`` of shape
-    ``(batch, n, n)`` with ``A @ x == I`` for every unflagged problem.
-    """
-    arr = as_batch(a)
-    check_square_batch(arr)
-    batch, n, _ = arr.shape
-    eye = np.broadcast_to(np.eye(n, dtype=arr.dtype), (batch, n, n)).copy()
-    return gauss_jordan_solve(
-        arr, eye, fast_math=fast_math, on_singular=on_singular
-    )

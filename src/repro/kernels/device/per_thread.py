@@ -20,7 +20,7 @@ exactly the same values); the timing model here prices the launch.
 from __future__ import annotations
 
 import dataclasses
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -28,13 +28,15 @@ from ...gpu.device import QUADRO_6000, DeviceSpec
 from ...gpu.memory_system import MemorySystem
 from ...gpu.occupancy import Occupancy, occupancy
 from ...gpu.registers import RegisterAllocation, registers_for_matrix
-from ...model.flops import lu_flops, matrix_bytes, qr_flops, qr_flops_complex
+from ...model.flops import matrix_bytes, workload_flops
 from ..batched.lu import lu_factor
 from ..batched.qr import qr_factor
 from ..batched.validate import as_batch, check_square_batch
 
 __all__ = [
+    "PerThreadCost",
     "PerThreadResult",
+    "per_thread_cost",
     "per_thread_factor",
     "per_thread_placement",
     "spill_touches",
@@ -77,6 +79,51 @@ def per_thread_placement(
     return regs, occ
 
 
+class PerThreadCost(NamedTuple):
+    """The price of one per-thread launch."""
+
+    seconds: float
+    dram_bytes: float
+    flops_per_problem: float
+    registers: RegisterAllocation
+
+
+def per_thread_cost(
+    kind: str,
+    n: int,
+    batch: int,
+    device: DeviceSpec = QUADRO_6000,
+    complex_dtype: bool = False,
+    threads_per_block: int = 256,
+) -> PerThreadCost:
+    """Price ``batch`` per-thread ``n x n`` problems from their shape alone.
+
+    ``kind`` is any :func:`~repro.model.flops.workload_flops` kind.  The
+    launch is the slower of its DRAM roofline and its occupancy-derated
+    compute bound.  Raises as :func:`per_thread_placement` does.
+    """
+    regs, occ = per_thread_placement(n, device, complex_dtype, threads_per_block)
+    flops = workload_flops(kind, n, n, complex_dtype)
+    memory = MemorySystem(device)
+
+    # DRAM traffic: the matrix in and out, plus spill re-touches.  The
+    # spilled fraction of the matrix bounces through L1 to DRAM (the L1
+    # is far too small for a full batch) spill_touches(n) times.
+    base = 2 * matrix_bytes(n, n, complex_dtype)
+    spill = regs.spill_fraction * spill_touches(n) * matrix_bytes(n, n, complex_dtype)
+    per_problem_bytes = base + spill
+    bw_seconds = batch * per_problem_bytes / memory.stream_bandwidth("copy")
+
+    # Compute bound: all FPUs at peak, derated by the occupancy the
+    # register demand allows (latency is hidden by multithreading).
+    efficiency = min(1.0, occ.occupancy_fraction * 2.0)  # >=50% occupancy is enough
+    compute_seconds = batch * flops / (device.peak_sp_flops * efficiency)
+
+    return PerThreadCost(
+        max(bw_seconds, compute_seconds), batch * per_problem_bytes, flops, regs
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class PerThreadResult:
     """Numerics plus the per-thread launch timing."""
@@ -113,51 +160,20 @@ def per_thread_factor(
     ``output``/``extra`` are the packed factors exactly as the batched
     kernels return them (QR: packed + taus; LU: packed + flags).  A
     launch that places no block (:func:`per_thread_placement`) raises
-    before the numerics run.
+    before the numerics run; :func:`per_thread_cost` prices the launch.
     """
     a = as_batch(a)
     check_square_batch(a)
     batch, n, _ = a.shape
-    is_complex = np.iscomplexobj(a)
-    regs, occ = per_thread_placement(n, device, is_complex, threads_per_block)
-
+    if kind not in ("qr", "lu"):
+        raise ValueError(f"unknown factorization kind: {kind!r}")
+    cost = per_thread_cost(
+        kind, n, batch, device, np.iscomplexobj(a), threads_per_block
+    )
     if kind == "qr":
         factors = qr_factor(a, fast_math=fast_math)
         output, extra = factors.packed, factors.taus
-        flops = qr_flops_complex(n, n) if is_complex else qr_flops(n, n)
-    elif kind == "lu":
+    else:
         result = lu_factor(a, fast_math=fast_math)
         output, extra = result.lu, result.not_solved
-        flops = (4 if is_complex else 1) * lu_flops(n)
-    else:
-        raise ValueError(f"unknown factorization kind: {kind!r}")
-
-    # --- Timing -------------------------------------------------------
-    memory = MemorySystem(device)
-
-    # DRAM traffic: the matrix in and out, plus spill re-touches.  The
-    # spilled fraction of the matrix bounces through L1 to DRAM (the L1
-    # is far too small for a full batch) spill_touches(n) times.
-    base = 2 * matrix_bytes(n, n, is_complex)
-    spill = regs.spill_fraction * spill_touches(n) * matrix_bytes(n, n, is_complex)
-    per_problem_bytes = base + spill
-    bw_seconds = batch * per_problem_bytes / memory.stream_bandwidth("copy")
-
-    # Compute bound: all FPUs at peak, derated by the occupancy the
-    # register demand allows (latency is hidden by multithreading).
-    efficiency = min(1.0, occ.occupancy_fraction * 2.0)  # >=50% occupancy is enough
-    compute_seconds = batch * flops / (device.peak_sp_flops * efficiency)
-
-    seconds = max(bw_seconds, compute_seconds)
-    return PerThreadResult(
-        output=output,
-        extra=extra,
-        kind=kind,
-        batch=batch,
-        n=n,
-        device=device,
-        flops_per_problem=flops,
-        seconds=seconds,
-        dram_bytes=batch * per_problem_bytes,
-        registers=regs,
-    )
+    return PerThreadResult(output, extra, kind, batch, n, device, **cost._asdict())

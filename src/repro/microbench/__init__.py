@@ -10,7 +10,6 @@ Each module reproduces one of the paper's measurement procedures:
 * :mod:`.calibrate`        -- all of the above -> Table IV parameters
 """
 
-from .bank_conflicts import BankConflictSweep, sweep_bank_conflicts
 from .calibrate import calibrate, measure_fma_latency
 from .global_bandwidth import GlobalBandwidthResult, measure_global_bandwidth
 from .global_latency import (
@@ -24,8 +23,6 @@ from .shared_latency import SharedLatencyResult, measure_shared_latency
 from .sync_latency import SyncLatencySweep, measure_sync_latency, sweep_sync_latency
 
 __all__ = [
-    "BankConflictSweep",
-    "sweep_bank_conflicts",
     "calibrate",
     "measure_fma_latency",
     "GlobalBandwidthResult",

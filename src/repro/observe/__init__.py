@@ -62,7 +62,6 @@ from .tracer import (
     add_counter,
     current_tracer,
     instant,
-    observe_counter,
     record_tape,
     set_tracer,
     span,
@@ -81,7 +80,6 @@ __all__ = [
     "add_counter",
     "current_tracer",
     "instant",
-    "observe_counter",
     "record_tape",
     "set_tracer",
     "span",
@@ -138,7 +136,6 @@ __all__ = [
     "flow_events",
     "profiling_enabled",
     "set_profiling_enabled",
-    "write_flamegraph",
     "emit",
     # lazily loaded: structured logging + SLO/alert engine
     "LOG_SCHEMA",
@@ -221,7 +218,6 @@ _LAZY = {
     "flow_events": "profile",
     "profiling_enabled": "profile",
     "set_profiling_enabled": "profile",
-    "write_flamegraph": "export",
     "emit": "events",
     "LOG_SCHEMA": "log",
     "StructuredLogger": "log",

@@ -27,7 +27,6 @@ __all__ = [
     "atomic_write_text",
     "chrome_trace",
     "write_chrome_trace",
-    "write_flamegraph",
     "metrics_record",
     "write_metrics",
     "read_metrics",
@@ -167,19 +166,6 @@ def write_chrome_trace(
     return atomic_write_text(
         path, json.dumps(chrome_trace(tracer, process_name)) + "\n"
     )
-
-
-def write_flamegraph(events, path: Path | str) -> Path:
-    """Write profile spans as collapsed stacks (flamegraph.pl format).
-
-    ``events`` is any iterable of :class:`~repro.observe.tracer.Event`
-    records (a tracer's ring buffer, or events parsed back from a trace
-    file); one line per span, self time in microseconds.  Feed the file
-    to ``flamegraph.pl`` or https://speedscope.app.
-    """
-    from .profile import build_span_trees, collapsed_stacks
-
-    return atomic_write_text(path, collapsed_stacks(build_span_trees(events)))
 
 
 # ----------------------------------------------------------------------

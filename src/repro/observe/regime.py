@@ -20,7 +20,7 @@ metrics registry so regime mix is monitorable across a fleet of runs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 from ..gpu.clock import fold
 from .attribution import AttributionReport

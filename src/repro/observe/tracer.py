@@ -51,7 +51,6 @@ __all__ = [
     "span",
     "instant",
     "add_counter",
-    "observe_counter",
     "DEFAULT_CAPACITY",
 ]
 
@@ -498,10 +497,3 @@ def add_counter(name: str, value: float = 1.0) -> None:
     tracer = current_tracer()
     if tracer is not None:
         tracer.counters.add(name, value)
-
-
-def observe_counter(name: str, values) -> None:
-    """Batch-observe values into the active registry; no-op when disabled."""
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.counters.observe(name, values)

@@ -10,7 +10,7 @@ and deadlines are pool-only: an in-process attempt has no worker to
 wait for or kill, so serial retries run at once.
 
 ``timeout_s`` defaults to ``None`` (no deadline): the failure-free path
-must behave exactly like the unsupervised runtime, and a spurious
+must give the serial launch's bits and counters, and a spurious
 timeout on a loaded CI machine would violate that.  Opt into deadlines
 per runtime (``BatchRuntime(retry_policy=RetryPolicy(timeout_s=5.0))``).
 """

@@ -1,7 +1,7 @@
 """Per-chunk supervision: deadlines, retries, pool rebuilds, inline rescue.
 
-The unsupervised pool had one recovery path -- any worker exception threw
-away every completed chunk and re-ran the whole batch serially.  The
+A bare pool has one recovery path -- any worker exception throws away
+every completed chunk and re-runs the whole batch serially.  The
 supervisor makes failure *per chunk*:
 
 * every attempt gets a wall-clock **deadline** (``RetryPolicy.timeout_s``;

@@ -64,7 +64,6 @@ from ..resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..resilience.quarantine import quarantine_outcomes
 from ..resilience.supervisor import (
     ChunkFailedError,
-    ChunkSpans,
     WorkerPool,
     outcome_checksum,
     supervise_pool,
@@ -148,7 +147,6 @@ def _execute_chunk(
     attempt: int = 0,
     nchunks: int = 1,
     faults=None,
-    checksum: bool = True,
 ) -> ChunkOutcome:
     """Run one chunk (in a worker or inline) and package the outcome.
 
@@ -171,7 +169,7 @@ def _execute_chunk(
     ``chunk_index``/``attempt`` identify this execution to the optional
     :class:`~repro.resilience.faults.FaultPlan`, which fires its seeded
     crash/hang/corrupt injectors here -- in the worker, where the real
-    failure would happen.  ``checksum`` ships a content hash of the
+    failure would happen.  The outcome ships a content hash of the
     numerical payload so the supervisor can detect transport corruption.
     """
     entry = time.perf_counter()
@@ -218,7 +216,7 @@ def _execute_chunk(
         finally:
             if local_metrics is not None:
                 _metrics.set_default_registry(previous_metrics)
-        digest = outcome_checksum(result.output, result.extra) if checksum else None
+        digest = outcome_checksum(result.output, result.extra)
         wall_s = time.perf_counter() - start
         # The trace holds this attempt as its ``attempt`` span (see
         # ``events.SPANNED``); the record carries that span's ids.
@@ -364,11 +362,6 @@ class BatchRuntime:
         Opt-in chunk journal for resumable runs: ``True`` (under the
         cache root), a directory path, or a ready
         :class:`~repro.resilience.checkpoint.CheckpointStore`.
-    resilience:
-        ``False`` bypasses the supervisor, checksums, and quarantine
-        entirely -- the escape hatch the overhead tripwire in
-        ``bench_runtime_scaling`` measures against.  It runs on the same
-        kept pool.
     params:
         Table-IV :class:`~repro.model.parameters.ModelParameters` the
         caller already holds for ``device`` (keyword-only); the runtime
@@ -390,7 +383,6 @@ class BatchRuntime:
         retry_policy: Optional[RetryPolicy] = None,
         faults=None,
         checkpoint=None,
-        resilience: bool = True,
         *,
         params: Optional[ModelParameters] = None,
     ) -> None:
@@ -417,7 +409,6 @@ class BatchRuntime:
             DEFAULT_RETRY_POLICY if retry_policy is None else retry_policy
         )
         self.faults = resolve_faults(faults)
-        self.resilience = bool(resilience)
         self.checkpoint = self._resolve_checkpoint(
             checkpoint, cache_directory, self.faults
         )
@@ -576,7 +567,7 @@ class BatchRuntime:
 
         resumed: dict[int, ChunkOutcome] = {}
         record = None
-        if self.resilience and self.checkpoint is not None:
+        if self.checkpoint is not None:
             fingerprint = batch_fingerprint(batch, self.chunk_cost, kwargs)
             resumed = {
                 index: outcome
@@ -604,9 +595,7 @@ class BatchRuntime:
         start = time.perf_counter()
         by_index: Optional[dict[int, ChunkOutcome]] = None
         mode = "serial"
-        if not self.resilience:
-            by_index, mode = self._run_unsupervised(payloads, emitter)
-        elif not entries:
+        if not entries:
             by_index = {}
             mode = "resumed"
         else:
@@ -657,11 +646,9 @@ class BatchRuntime:
                 mode=mode,
             )
         merge_start = emitter.now() if emitter is not None else 0.0
-        failures = (
-            quarantine_outcomes(batch, chunks, outcomes) if self.resilience else []
-        )
+        failures = quarantine_outcomes(batch, chunks, outcomes)
         wall_s = time.perf_counter() - start
-        if self.resilience and self.checkpoint is not None:
+        if self.checkpoint is not None:
             # The merge below is pure; once every outcome is in hand the
             # journal has served its purpose.
             self.checkpoint.clear()
@@ -745,35 +732,6 @@ class BatchRuntime:
         report.params = self.parameters()
         self._observe_run(batch, chunks, outcomes, report)
         return report
-
-    def _run_unsupervised(
-        self, payloads: list, profile=None
-    ) -> tuple[dict[int, ChunkOutcome], str]:
-        """The ``resilience=False`` path: no checksums or retries."""
-        outcomes: Optional[list[ChunkOutcome]] = None
-        mode = "serial"
-        if self.workers > 1 and len(payloads) > 1:
-            try:
-                outcomes = self._run_pool_plain(payloads, profile)
-                mode = "process"
-            except Exception as exc:
-                _degrade(exc, profile.scope if profile is not None else None)
-                mode = "serial-fallback"
-        if outcomes is None:
-            spans = ChunkSpans(profile)
-            outcomes = []
-            for index, payload in enumerate(payloads):
-                hand_off = spans.now()
-                spans.submit(index, hand_off, hand_off, attempt=0, op=payload[0])
-                outcome = _execute_chunk(
-                    *payload,
-                    chunk_index=index,
-                    nchunks=len(payloads),
-                    checksum=False,
-                )
-                spans.complete(index, spans.now(), op=payload[0], attempts=1)
-                outcomes.append(outcome)
-        return dict(enumerate(outcomes)), mode
 
     def _observe_run(self, batch, chunks, outcomes, report: BatchReport) -> None:
         """Fold chunk telemetry into the fleet registry + run history.
@@ -944,55 +902,6 @@ class BatchRuntime:
             on_complete=record,
             profile=profile,
         )
-        return outcomes
-
-    def _run_pool_plain(self, payloads: list, profile=None) -> list[ChunkOutcome]:
-        """The unsupervised pool (``resilience=False``): fail-together."""
-        spans = ChunkSpans(profile)
-        done_at: dict = {}
-        futures = []
-        submitted_at = []
-        try:
-            pool = self._pool.executor()
-            for index, payload in enumerate(payloads):
-                submit_start = spans.now()
-                future = pool.submit(
-                    _execute_chunk,
-                    *payload,
-                    chunk_index=index,
-                    nchunks=len(payloads),
-                    checksum=False,
-                )
-                submitted_at.append(time.perf_counter())
-                spans.submit(
-                    index, submit_start, spans.now(), attempt=0, op=payload[0]
-                )
-                future.add_done_callback(
-                    lambda f: done_at.setdefault(id(f), time.perf_counter())
-                )
-                futures.append(future)
-            # Collect in submission order; completion order is irrelevant.
-            outcomes = [future.result() for future in futures]
-        except BaseException:
-            # Chunks may still be running; they go down with the pool.
-            self._pool.kill()
-            raise
-        for index, (future, submit_ts, outcome) in enumerate(
-            zip(futures, submitted_at, outcomes)
-        ):
-            done_ts = done_at.get(id(future), submit_ts)
-            turnaround = done_ts - submit_ts
-            # Time not spent executing the kernel = pool queueing (plus
-            # pickling, which rides along -- both are scheduling cost).
-            outcome.queue_wait_s = max(0.0, turnaround - outcome.wall_s)
-            if profile is not None:
-                spans.complete(
-                    index,
-                    profile.at(done_ts),
-                    op=payloads[index][0],
-                    attempts=1,
-                    worker=getattr(outcome, "pid", 0),
-                )
         return outcomes
 
 

@@ -51,7 +51,7 @@ class ChunkOutcome:
     queue_wait_s: float = 0.0
     #: Content hash of ``output``/``extra`` computed worker-side before
     #: the outcome crossed the process boundary; the supervisor verifies
-    #: it to catch transport corruption (``None`` when unsupervised).
+    #: it to catch transport corruption (``None`` skips the check).
     checksum: Optional[str] = None
     #: The worker tracer's clock origin (``None`` when untraced) -- the
     #: handshake :meth:`repro.observe.tracer.Tracer.ingest` uses to

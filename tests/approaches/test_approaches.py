@@ -15,6 +15,10 @@ from repro.approaches import (
     rank_approaches,
 )
 from repro.errors import LaunchConfigurationError
+from repro.gpu import G80, GTX480, QUADRO_6000
+from repro.kernels.batched import diagonally_dominant_batch
+from repro.kernels.device import per_thread_factor
+from repro.kernels.device.per_thread import per_thread_placement
 
 
 class TestWorkload:
@@ -149,6 +153,50 @@ class TestPerBlockReplayConsistency:
 
         kernel = per_block_qr_solve if m == n else per_block_least_squares
         self.check("least_squares", m, n, complex_dtype, kernel)
+
+
+class TestPerThreadConsistency:
+    """A ``PerThreadApproach`` prices a workload as ``per_thread_factor``
+    launches it: one placement rule and one roofline."""
+
+    SIZES = list(range(1, 17)) + [32, 64, 128]
+
+    @pytest.mark.parametrize("complex_dtype", [False, True])
+    @pytest.mark.parametrize("kind", ["qr", "lu"])
+    @pytest.mark.parametrize(
+        "device", [QUADRO_6000, GTX480, G80], ids=["quadro6000", "gtx480", "g80"]
+    )
+    def test_supports_and_seconds_match_the_kernel(self, device, kind, complex_dtype):
+        approach = PerThreadApproach(device)
+        dtype = np.complex64 if complex_dtype else np.float32
+        for n in self.SIZES:
+            work = Workload.square(kind, n, 2, complex_dtype=complex_dtype)
+            try:
+                per_thread_placement(n, device, complex_dtype)
+            except LaunchConfigurationError:
+                assert not approach.supports(work), n
+                continue
+            assert approach.supports(work), n
+            a = diagonally_dominant_batch(2, n, dtype=dtype, seed=n)
+            assert approach.seconds(work) == per_thread_factor(a, kind, device).seconds
+
+    def test_g80_places_only_the_smallest_problems(self):
+        approach = PerThreadApproach(G80)
+
+        def placed(complex_dtype):
+            return [
+                n
+                for n in range(1, 129)
+                if approach.supports(Workload.square("lu", n, 1, complex_dtype))
+            ]
+
+        assert placed(False) == [1, 2, 3, 4]
+        assert placed(True) == [1, 2, 3]
+
+    def test_rank_skips_a_per_thread_launch_that_places_no_block(self):
+        work = Workload.square("lu", 8, 64)
+        ranked = rank_approaches(work, [PerThreadApproach(G80), PerBlockApproach(G80)])
+        assert [r.name for r in ranked] == ["per-block"]
 
 
 class TestFigure10DesignSpace:

@@ -214,6 +214,21 @@ class TestCalibration:
         )
 
 
+class TestFaultPlan:
+    def test_cell_runs_the_plan_its_spec_names(self, monkeypatch):
+        from repro.experiments.runner import SweepContext
+        from repro.resilience import parse_faults
+
+        monkeypatch.setenv("REPRO_FAULTS", "crash@0")
+        ctx = SweepContext(workers=1)
+        try:
+            assert ctx.runtime("quadro6000", "none").faults is None
+            crash = ctx.runtime("quadro6000", "crash@0").faults
+            assert crash == parse_faults("crash@0")
+        finally:
+            ctx.close()
+
+
 class TestCli:
     def test_plan_prints_cells_and_fingerprint(self, spec_path, capsys):
         assert main(["plan", str(spec_path)]) == 0

@@ -12,8 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.experiments import run_spec, spec_from_dict
 from repro.experiments.engine import journal_path
 

@@ -29,6 +29,14 @@ class TestConflictDegree:
     def test_empty_access_costs_one_pass(self):
         assert conflict_degree([], banks=32) == 1
 
+    @pytest.mark.parametrize("stride, degree", [(1, 2), (8, 16), (16, 32)])
+    def test_sixteen_banks(self, stride, degree):
+        # G80 has 16 banks, so conflicts saturate at half the stride they
+        # do on GF100 (the model serves the full 32-lane warp at once;
+        # real G80 split it into half-warps, halving the worst degree --
+        # a documented simplification).
+        assert conflict_degree([stride * i for i in range(32)], banks=16) == degree
+
     @given(st.lists(st.integers(min_value=0, max_value=4096), max_size=32))
     def test_degree_bounds(self, addrs):
         d = conflict_degree(addrs, banks=32)

@@ -1,8 +1,8 @@
-"""Warp scheduling helpers."""
+"""Warp helpers."""
 
 import pytest
 
-from repro.gpu import QUADRO_6000, exposed_latency, issue_cycles, warps_in_block
+from repro.gpu import QUADRO_6000, warps_in_block
 
 
 class TestWarpsInBlock:
@@ -19,35 +19,3 @@ class TestWarpsInBlock:
         with pytest.raises(ValueError):
             warps_in_block(QUADRO_6000, 0)
 
-
-class TestExposedLatency:
-    def test_single_warp_sees_full_latency(self):
-        assert exposed_latency(570, 1) == 570
-
-    def test_enough_warps_hide_everything(self):
-        assert exposed_latency(570, 600) == 0.0
-
-    def test_partial_hiding(self):
-        assert exposed_latency(100, 51, issue_interval=1.0) == 50.0
-
-    def test_never_negative(self):
-        assert exposed_latency(10, 1000) == 0.0
-
-    def test_zero_warps_rejected(self):
-        with pytest.raises(ValueError):
-            exposed_latency(100, 0)
-
-
-class TestIssueCycles:
-    def test_single_warp(self):
-        assert issue_cycles(100, 1) == 100
-
-    def test_warps_serialize_issue(self):
-        assert issue_cycles(100, 4) == 400
-
-    def test_dual_issue_halves(self):
-        assert issue_cycles(100, 4, dual_issue=True) == 200
-
-    def test_zero_warps_rejected(self):
-        with pytest.raises(ValueError):
-            issue_cycles(100, 0)

@@ -1,122 +1,10 @@
-"""SVD extension, GJ inversion, and the per-block least-squares kernel."""
+"""The per-block least-squares kernel against the batched solve."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import ShapeError
-from repro.kernels.batched import (
-    diagonally_dominant_batch,
-    gauss_jordan_invert,
-    jacobi_svd,
-    least_squares,
-    random_batch,
-)
+from repro.kernels.batched import least_squares, random_batch
 from repro.kernels.device import per_block_least_squares
-
-
-class TestJacobiSvd:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64,
-                                       np.complex128])
-    def test_singular_values_match_lapack(self, dtype):
-        a = random_batch(4, 12, 6, dtype=dtype, seed=1)
-        res = jacobi_svd(a, fast_math=False)
-        ref = np.stack([np.linalg.svd(a[i], compute_uv=False) for i in range(4)])
-        tol = 1e-5 if np.dtype(dtype).itemsize <= 8 else 1e-12
-        assert np.abs(res.s - ref).max() < tol * ref.max()
-
-    def test_reconstruction(self):
-        a = random_batch(3, 15, 7, dtype=np.float64, seed=2)
-        res = jacobi_svd(a, fast_math=False)
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-12)
-
-    def test_u_columns_orthonormal(self):
-        a = random_batch(3, 15, 7, dtype=np.complex128, seed=3)
-        u = jacobi_svd(a, fast_math=False).u
-        gram = np.swapaxes(u.conj(), 1, 2) @ u
-        np.testing.assert_allclose(
-            gram, np.broadcast_to(np.eye(7), gram.shape), atol=1e-12
-        )
-
-    def test_v_unitary(self):
-        a = random_batch(3, 10, 5, dtype=np.float64, seed=4)
-        vh = jacobi_svd(a, fast_math=False).vh
-        gram = vh @ np.swapaxes(vh.conj(), 1, 2)
-        np.testing.assert_allclose(
-            gram, np.broadcast_to(np.eye(5), gram.shape), atol=1e-12
-        )
-
-    def test_singular_values_descending_nonnegative(self):
-        a = random_batch(4, 9, 5, dtype=np.float64, seed=5)
-        s = jacobi_svd(a, fast_math=False).s
-        assert (s >= 0).all()
-        assert (np.diff(s, axis=1) <= 1e-12).all()
-
-    def test_rank_deficiency_tolerated(self):
-        a = random_batch(2, 10, 4, dtype=np.float64, seed=6)
-        a[:, :, 3] = a[:, :, 0]
-        res = jacobi_svd(a, fast_math=False)
-        assert res.s[:, -1].max() < 1e-12
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-12)
-
-    def test_square_matrix(self):
-        a = random_batch(2, 6, 6, dtype=np.float64, seed=7)
-        res = jacobi_svd(a, fast_math=False)
-        ref = np.stack([np.linalg.svd(a[i], compute_uv=False) for i in range(2)])
-        np.testing.assert_allclose(res.s, ref, atol=1e-12)
-
-    def test_wide_rejected(self):
-        with pytest.raises(ShapeError):
-            jacobi_svd(random_batch(2, 4, 8, dtype=np.float64))
-
-    def test_zero_sweeps_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi_svd(random_batch(1, 4, 2, dtype=np.float64), max_sweeps=0)
-
-    @given(
-        m=st.integers(min_value=2, max_value=16),
-        n=st.integers(min_value=1, max_value=8),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_frobenius_norm_preserved(self, m, n, seed):
-        if m < n:
-            m, n = n, m
-        a = random_batch(2, m, n, dtype=np.float64, seed=seed)
-        s = jacobi_svd(a, fast_math=False).s
-        np.testing.assert_allclose(
-            np.sqrt((s**2).sum(axis=1)), np.linalg.norm(a, axis=(1, 2)), rtol=1e-10
-        )
-
-
-class TestGaussJordanInvert:
-    def test_inverse_identity(self):
-        a = diagonally_dominant_batch(4, 10, dtype=np.float64)
-        inv = gauss_jordan_invert(a, fast_math=False)
-        assert inv.all_solved
-        prod = a @ inv.x
-        np.testing.assert_allclose(
-            prod, np.broadcast_to(np.eye(10), prod.shape), atol=1e-12
-        )
-
-    def test_matches_numpy(self):
-        a = diagonally_dominant_batch(3, 6, dtype=np.float64)
-        inv = gauss_jordan_invert(a, fast_math=False)
-        ref = np.stack([np.linalg.inv(a[i]) for i in range(3)])
-        np.testing.assert_allclose(inv.x, ref, atol=1e-12)
-
-    def test_singular_flagged(self):
-        a = diagonally_dominant_batch(2, 4, dtype=np.float32)
-        a[1] = 0
-        inv = gauss_jordan_invert(a)
-        assert inv.not_solved.tolist() == [False, True]
-
-    def test_complex(self):
-        a = diagonally_dominant_batch(2, 5, dtype=np.complex64)
-        inv = gauss_jordan_invert(a)
-        prod = a @ inv.x
-        assert np.abs(prod - np.eye(5)).max() < 1e-4
 
 
 class TestPerBlockLeastSquares:

@@ -138,40 +138,3 @@ class TestSyncLatency:
     def test_series_shape(self):
         sweep = sweep_sync_latency(QUADRO_6000, thread_counts=[64, 128])
         assert sweep.series() == [(64, 46.0), (128, sweep.at(128))]
-
-
-class TestBankConflicts:
-    def test_sawtooth_shape(self):
-        from repro.microbench import sweep_bank_conflicts
-
-        sweep = sweep_bank_conflicts(QUADRO_6000)
-        by_stride = dict(zip(sweep.strides, sweep.degrees))
-        assert by_stride[1] == 1     # unit stride: conflict-free
-        assert by_stride[2] == 2     # even strides conflict
-        assert by_stride[32] == 32   # full serialization
-        assert by_stride[17] == 1    # odd strides: conflict-free
-        assert sweep.worst_stride() == 32
-
-    def test_bandwidth_inverse_to_degree(self):
-        from repro.microbench import sweep_bank_conflicts
-
-        sweep = sweep_bank_conflicts(QUADRO_6000)
-        table = dict(zip(sweep.strides, sweep.bandwidths))
-        assert table[1] == pytest.approx(32 * table[32])
-        assert table[1] == pytest.approx(
-            QUADRO_6000.shared_banks * 4 * QUADRO_6000.shared_clock_hz
-        )
-
-    def test_g80_16_banks(self):
-        from repro.gpu import G80
-        from repro.microbench import sweep_bank_conflicts
-
-        # G80 has 16 banks, so conflicts saturate at half the stride they
-        # do on GF100 (the model serves the full 32-lane warp at once;
-        # real G80 split it into half-warps, halving the worst degree --
-        # a documented simplification).
-        sweep = sweep_bank_conflicts(G80)
-        by_stride = dict(zip(sweep.strides, sweep.degrees))
-        assert by_stride[8] == 16
-        assert by_stride[16] == 32
-        assert by_stride[1] == 2  # 32 lanes over 16 banks: 2 words/bank

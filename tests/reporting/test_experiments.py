@@ -125,6 +125,15 @@ class TestArtefactBands:
         assert data["qr_hybrid"][i8192] > 300
         assert math.isnan(data["qr_per_thread"][i8192])
 
+    def test_fig10_on_g80_drops_per_thread_where_no_block_places(self):
+        from repro.gpu import G80
+
+        data = experiments.run_fig10(G80).data
+        for kind in ("qr", "lu"):
+            per_thread = dict(zip(data["n"], data[f"{kind}_per_thread"]))
+            assert math.isfinite(per_thread[2]) and math.isfinite(per_thread[4])
+            assert all(math.isnan(v) for n, v in per_thread.items() if n >= 8)
+
     def test_fig11_gpu_wins_everywhere(self):
         data = run_experiment("fig11").data
         for i in range(len(data["n"])):

@@ -89,8 +89,9 @@ def metrics_registry():
 
 
 def _reference(matrices):
+    # An explicit empty plan: ``faults=None`` would read REPRO_FAULTS.
     return BatchRuntime(
-        workers=1, chunk_cost=CHUNK_COST, use_caches=False, resilience=False
+        workers=1, chunk_cost=CHUNK_COST, use_caches=False, faults=()
     ).run(ProblemBatch.single("lu", matrices))
 
 

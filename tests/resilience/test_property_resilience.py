@@ -45,8 +45,9 @@ def test_surviving_problems_bitwise_identical(seed, crash_chunks, singular, work
     problems = ProblemBatch.single("lu", matrices)
     assert len(plan_chunks(problems, CHUNK_COST)) == 5
 
+    # An explicit empty plan: ``faults=None`` would read REPRO_FAULTS.
     serial_clean = BatchRuntime(
-        workers=1, chunk_cost=CHUNK_COST, use_caches=False, resilience=False
+        workers=1, chunk_cost=CHUNK_COST, use_caches=False, faults=()
     ).run(ProblemBatch.single("lu", diagonally_dominant_batch(BATCH, N, seed=seed)))
 
     faults = (

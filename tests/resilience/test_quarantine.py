@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.batched import diagonally_dominant_batch
-from repro.kernels.device import KERNELS
+from repro.kernels.device import KERNELS, per_block_lu
 from repro.runtime import BatchRuntime, ProblemBatch
 from repro.resilience import ProblemFailure, scan_output
 
@@ -153,21 +153,8 @@ class TestScanOutput:
 
 
 class TestBitwiseNeutrality:
-    def test_quarantine_off_path_identical(self, tmp_path):
-        # resilience=False must reproduce today's behavior exactly:
-        # no NaN masking, no failure records.
-        matrices = diagonally_dominant_batch(8, 5, seed=4)
-        matrices[2] = 0.0
-        report = _runtime(tmp_path, resilience=False).run(
-            ProblemBatch.single("lu", matrices)
-        )
-        assert report.failures == []
-
     def test_clean_batch_untouched(self, tmp_path):
         matrices = diagonally_dominant_batch(12, 6, seed=5)
         on = _runtime(tmp_path).run(ProblemBatch.single("lu", matrices))
-        off = _runtime(tmp_path, resilience=False).run(
-            ProblemBatch.single("lu", matrices)
-        )
         assert on.failures == []
-        assert np.array_equal(on.output, off.output)
+        assert np.array_equal(on.output, per_block_lu(matrices).output)

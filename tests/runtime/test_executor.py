@@ -483,16 +483,6 @@ class TestPoolLifecycle:
             assert runtime.run(_lu_batch(32)).chunks == 2
             assert len(_worker_pids(runtime)) == 3
 
-    def test_unsupervised_path_runs_on_the_same_pool(self, tmp_path):
-        with _runtime(
-            tmp_path, workers=2, chunk_cost=self.CHUNK_COST, resilience=False
-        ) as runtime:
-            assert runtime.run(_lu_batch(33)).mode == "process"
-            pids = _worker_pids(runtime)
-            runtime.resilience = True
-            assert runtime.run(_lu_batch(34)).mode == "process"
-            assert _worker_pids(runtime) == pids
-
     def test_close_is_idempotent_and_the_runtime_reopens(self, tmp_path):
         before = _children()
         runtime = _runtime(tmp_path, workers=2, chunk_cost=self.CHUNK_COST)
