@@ -24,7 +24,6 @@ from typing import List, Optional, Tuple
 
 from ...gpu.simt import BlockEngine
 from ...kernels.device.base import block_engine_factory
-from ...model.flops import matrix_bytes
 from .footprint import Footprint, diff_terms
 
 __all__ = ["AbstractEngine", "AbstractionError", "Interpretation", "interpret"]
@@ -135,11 +134,7 @@ def _block_footprint(case, result, engine: AbstractEngine) -> Footprint:
 
 
 def _thread_footprint(case, result) -> Footprint:
-    from ...kernels.device.per_thread import spill_touches
-
     regs = result.registers
-    nbytes = matrix_bytes(case.n, case.n)
-    spill = regs.spill_fraction * spill_touches(case.n) * nbytes
     return Footprint(
         kernel=case.name,
         op=case.op,
@@ -149,7 +144,7 @@ def _thread_footprint(case, result) -> Footprint:
         threads=256,
         registers=regs.requested,
         global_bytes=result.dram_bytes / result.batch,
-        spill_bytes=spill,
+        spill_bytes=result.spill_bytes,
         flops_per_problem=float(result.flops_per_problem),
     )
 

@@ -26,7 +26,6 @@ from .registers import RegisterAllocation, registers_for_matrix
 from .shared_memory import SharedMemory, conflict_degree
 from .simt import BlockEngine, LaunchResult
 from .tlb import Tlb
-from .warp import warps_in_block
 
 __all__ = [
     "CycleBreakdown",
@@ -59,5 +58,4 @@ __all__ = [
     "BlockEngine",
     "LaunchResult",
     "Tlb",
-    "warps_in_block",
 ]

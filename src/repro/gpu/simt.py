@@ -58,6 +58,7 @@ from typing import Any, Iterator, Literal, Optional
 import numpy as np
 
 from ..analyze.sanitizer import SharedSanitizer, sanitize_enabled
+from ..errors import LaunchConfigurationError
 from ..observe.counters import CounterRegistry
 from ..observe.tracer import current_tracer
 from .clock import CycleBreakdown, CycleClock, Tape, fold_steps
@@ -67,7 +68,6 @@ from .memory_system import MemorySystem
 from .occupancy import Occupancy, occupancy
 from .registers import RegisterAllocation
 from .shared_memory import SharedMemory
-from .warp import warps_in_block
 
 __all__ = ["BlockEngine", "LaunchResult"]
 
@@ -144,15 +144,19 @@ class LaunchResult:
         and partially-filled final waves lower the rate, exactly like a
         real launch.
         """
-        resident = self.occupancy.blocks_per_chip
-        per_block_s = self.seconds_per_block
         if num_problems is None:
-            return self.flops_per_block * resident / per_block_s / 1e9
+            resident = self.occupancy.blocks_per_chip
+            return self.flops_per_block * resident / self.seconds_per_block / 1e9
+        total_s = self.batch_seconds(num_problems)
+        return self.flops_per_block * num_problems / total_s / 1e9
+
+    def batch_seconds(self, num_problems: int) -> float:
+        """Seconds to process ``num_problems`` problems in waves of
+        ``blocks_per_chip`` resident blocks (a partial wave costs a full one)."""
         if num_problems < 1:
             raise ValueError("need at least one problem")
-        waves = -(-num_problems // resident)
-        total_s = waves * per_block_s
-        return self.flops_per_block * num_problems / total_s / 1e9
+        waves = -(-num_problems // self.occupancy.blocks_per_chip)
+        return waves * self.seconds_per_block
 
 
 class BlockEngine:
@@ -172,6 +176,8 @@ class BlockEngine:
     ) -> None:
         self.device = device
         self.threads = int(threads_per_block)
+        if self.threads < 1:
+            raise LaunchConfigurationError("a block needs at least one thread")
         self.batch = int(batch)
         self.dtype = np.dtype(dtype)
         self.fast_math = bool(fast_math)
@@ -187,7 +193,6 @@ class BlockEngine:
         self.registers = RegisterAllocation(device, registers_per_thread)
         if not allow_spill:
             self.registers.require_resident()
-        self.warps = warps_in_block(device, self.threads)
         # Launch constants, resolved once so a charge is a few scalar
         # operations.  Folding the precision factor (1 or 2, a power of
         # two) into a cost leaves every product's bits unchanged.

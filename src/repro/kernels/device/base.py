@@ -49,6 +49,7 @@ from typing import Callable, Dict, Iterator, Optional
 import numpy as np
 
 from ...analyze.sanitizer import sanitize_enabled
+from ...errors import LaunchConfigurationError
 from ...gpu.clock import CycleBreakdown
 from ...gpu.device import QUADRO_6000, DeviceSpec
 from ...gpu.simt import BlockEngine, LaunchResult
@@ -200,9 +201,11 @@ class BlockKernel:
         self.dtype = np.dtype(dtype)
         self.complex = self.dtype.kind == "c"
         self.cfg = config or block_config(m, n, complex_dtype=self.complex)
-        self.r = self.cfg.rdim
-        self.hreg = -(-m // self.r)
-        self.wreg = -(-n // self.r)
+        if (self.cfg.m, self.cfg.n) != (m, n):
+            raise LaunchConfigurationError(
+                f"a {self.cfg.m}x{self.cfg.n} config cannot launch a {m}x{n} block"
+            )
+        self.r, self.hreg, self.wreg = self.cfg.rdim, self.cfg.hreg, self.cfg.wreg
         # A complex MAC is 4 FMAs on 2 independent chains: with the
         # dual-issue pipeline its dependent cost is ~2 gamma, while the
         # algorithmic credit is 8 real FLOPs (4x the real MAC's 2).

@@ -86,6 +86,8 @@ class PerThreadCost(NamedTuple):
     dram_bytes: float
     flops_per_problem: float
     registers: RegisterAllocation
+    #: Spill re-touch bytes per problem, in the data's word size.
+    spill_bytes: float
 
 
 def per_thread_cost(
@@ -120,7 +122,7 @@ def per_thread_cost(
     compute_seconds = batch * flops / (device.peak_sp_flops * efficiency)
 
     return PerThreadCost(
-        max(bw_seconds, compute_seconds), batch * per_problem_bytes, flops, regs
+        max(bw_seconds, compute_seconds), batch * per_problem_bytes, flops, regs, spill
     )
 
 
@@ -138,6 +140,7 @@ class PerThreadResult:
     seconds: float
     dram_bytes: float
     registers: RegisterAllocation
+    spill_bytes: float
 
     @property
     def gflops(self) -> float:

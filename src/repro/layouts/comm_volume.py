@@ -15,8 +15,9 @@ reduction traffic once per hop of the serial chain.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Literal
+
+from .cyclic2d import Cyclic2D
 
 __all__ = ["CommVolume", "qr_communication_volume", "compare_volumes"]
 
@@ -55,9 +56,7 @@ def qr_communication_volume(
     broadcast = 0.0
     reduction = 0.0
     if layout == "cyclic2d":
-        r = math.isqrt(threads)
-        if r * r != threads:
-            raise ValueError("2D cyclic layout needs a square thread count")
+        r = Cyclic2D(n, n, threads).rdim
         for j in range(n - 1):
             h = n - j
             # Householder vector published once, read by the r column

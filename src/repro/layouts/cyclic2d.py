@@ -9,11 +9,10 @@ kernels can ignore it until the final gather.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..errors import LaunchConfigurationError, ShapeError
+from ..errors import ShapeError
+from ..model.block_config import BlockConfig
 from .base import Layout
 
 __all__ = ["Cyclic2D"]
@@ -24,14 +23,9 @@ class Cyclic2D(Layout):
 
     def __init__(self, m: int, n: int, threads: int) -> None:
         super().__init__(m, n, threads)
-        r = math.isqrt(threads)
-        if r * r != threads:
-            raise LaunchConfigurationError(
-                f"2D cyclic layout needs a square thread count, got {threads}"
-            )
-        self.rdim = r
-        self.hreg = -(-m // r)
-        self.wreg = -(-n // r)
+        # One geometry with the kernels: BlockConfig rejects non-square grids.
+        cfg = BlockConfig(m, n, threads)
+        self.rdim, self.hreg, self.wreg = cfg.rdim, cfg.hreg, cfg.wreg
 
     # ------------------------------------------------------------------
     def owner(self, i: int, j: int) -> int:

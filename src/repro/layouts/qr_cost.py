@@ -15,22 +15,27 @@ layouts and finds
 This module prices one QR solve under each layout with the same
 accounting style as Table VI (gamma per dependent FLOP, the shared
 latency per shared access, alpha_sync per barrier), then converts to
-whole-chip GFLOPS through the occupancy calculator.  The constants are
-shared with :mod:`repro.model.per_block_model`, so the 2D line of
-Figure 7 is consistent with Figure 9.
+whole-chip GFLOPS through the occupancy calculator.  The 2D line's
+factorization is :func:`repro.model.per_block_model.predict_per_block`'s
+QR estimate on the same launch shape, so Figure 7 is consistent with
+Figure 9, and each layout's register tile is its layout class's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Literal
 
 from ..gpu.instructions import costs_for
 from ..gpu.occupancy import occupancy
 from ..gpu.registers import registers_for_matrix
+from ..model.block_config import BlockConfig
 from ..model.flops import qr_flops
 from ..model.parameters import ModelParameters
+from ..model.per_block_model import predict_per_block
+from .column_cyclic import ColumnCyclic
+from .cyclic2d import Cyclic2D
+from .row_cyclic import RowCyclic
 
 __all__ = ["LayoutKind", "LayoutCostEstimate", "estimate_qr_solve", "compare_layouts"]
 
@@ -47,23 +52,18 @@ class LayoutCostEstimate:
 
 
 def _qr_solve_cycles_2d(params: ModelParameters, n: int, p: int, fast: bool) -> float:
-    """2D cyclic: Table VI's QR rows plus the triangular solve."""
+    """2D cyclic: the per-block model's QR factorization (Table VI's QR
+    rows) plus the triangular solve."""
+    config = BlockConfig(n, n, p)
+    total = predict_per_block(
+        params, "qr", n, config=config, fast_math=fast
+    ).compute_cycles
     costs = costs_for(params.device)
-    r = math.isqrt(p)
     beta, gamma = params.alpha_sh, params.gamma
     sync = params.sync_latency(p)
-    red = (1 + r) * beta + r * gamma
-    hreg = -(-n // r)
-    total = 0.0
-    for j in range(n - 1):
-        N = max(1, hreg - j // r)
-        total += N * gamma + red + costs.sqrt(fast) + 2 * costs.div(fast) + 2 * gamma
-        total += 2 * beta + N * gamma + N * beta + sync  # scale & share column
-        total += N * beta + N * N * gamma + 2 * sync + red  # MV multiply
-        total += N * beta + N * N * gamma + sync  # rank-1
     # Back substitution: n rows, each a broadcast + local update.
     for j in range(n):
-        N = max(1, hreg - j // r)
+        N = config.column_tile_rows(j)
         total += costs.div(fast) + 2 * beta + N * gamma + N * beta + sync
     return total
 
@@ -124,10 +124,11 @@ def _qr_solve_cycles_row(params: ModelParameters, n: int, p: int, fast: bool) ->
     return total
 
 
-_ESTIMATORS = {
-    "cyclic2d": _qr_solve_cycles_2d,
-    "column_cyclic": _qr_solve_cycles_column,
-    "row_cyclic": _qr_solve_cycles_row,
+#: Each layout's class (its per-thread register tile) and cycle estimate.
+_LAYOUTS = {
+    "cyclic2d": (Cyclic2D, _qr_solve_cycles_2d),
+    "column_cyclic": (ColumnCyclic, _qr_solve_cycles_column),
+    "row_cyclic": (RowCyclic, _qr_solve_cycles_row),
 }
 
 
@@ -140,19 +141,15 @@ def estimate_qr_solve(
 ) -> LayoutCostEstimate:
     """Cycles and whole-chip GFLOPS of one n x n QR solve under ``layout``."""
     try:
-        fn = _ESTIMATORS[layout]
+        layout_cls, cycles_fn = _LAYOUTS[layout]
     except KeyError:
         raise ValueError(f"unknown layout: {layout!r}") from None
     if n < 2:
         raise ValueError("need at least a 2x2 system")
-    cycles = fn(params, n, threads, fast_math)
     # Same register/occupancy accounting for all layouts: storage per
     # thread is the layout's tile, capped at the architectural limit.
-    if layout == "cyclic2d":
-        r = math.isqrt(threads)
-        tile = (-(-n // r)) ** 2
-    else:
-        tile = n * (-(-n // threads))
+    tile = layout_cls(n, n, threads).elements_per_thread()
+    cycles = cycles_fn(params, n, threads, fast_math)
     requested = registers_for_matrix(tile, 1)
     limit = params.device.max_registers_per_thread
     regs = min(requested, limit)
@@ -186,5 +183,5 @@ def compare_layouts(
 ) -> dict[str, LayoutCostEstimate]:
     """All three layouts at one problem size -- one x-slice of Figure 7."""
     return {
-        kind: estimate_qr_solve(params, kind, n, threads) for kind in _ESTIMATORS
+        kind: estimate_qr_solve(params, kind, n, threads) for kind in _LAYOUTS
     }

@@ -1,7 +1,6 @@
 """The paper's analytical GPU performance model and baselines.
 
 * :mod:`.parameters`      -- Table IV parameter set
-* :mod:`.logp`            -- Equations 1 and 2
 * :mod:`.flops`           -- Section III FLOP conventions
 * :mod:`.intensity`       -- arithmetic intensity + bandwidth roofline
 * :mod:`.block_config`    -- launch-shape rule (64 vs 256 threads)
@@ -28,7 +27,6 @@ from .flops import (
 )
 from .hybrid_model import HybridConfig, HybridModel
 from .intensity import arithmetic_intensity, factorization_intensity, roofline_gflops
-from .logp import GlobalPhase, LocalPhase, global_time, local_time, total_time
 from .parameters import ModelParameters
 from .per_block_model import (
     ColumnEstimate,
@@ -67,11 +65,6 @@ __all__ = [
     "arithmetic_intensity",
     "factorization_intensity",
     "roofline_gflops",
-    "GlobalPhase",
-    "LocalPhase",
-    "global_time",
-    "local_time",
-    "total_time",
     "ModelParameters",
     "ColumnEstimate",
     "OpEstimate",

@@ -11,6 +11,7 @@ the device kernels, and the benchmarks all agree on the launch shape.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from ..errors import LaunchConfigurationError
@@ -35,23 +36,25 @@ class BlockConfig:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise LaunchConfigurationError("matrix dimensions must be positive")
+        if self.threads < 1:
+            raise LaunchConfigurationError("a block needs at least one thread")
         root = math.isqrt(self.threads)
         if root * root != self.threads:
             raise LaunchConfigurationError(
                 f"2D cyclic layout needs a square thread count, got {self.threads}"
             )
 
-    @property
+    @functools.cached_property
     def rdim(self) -> int:
         """sqrt(p): the side of the thread grid (RDIM in Listing 4)."""
         return math.isqrt(self.threads)
 
-    @property
+    @functools.cached_property
     def hreg(self) -> int:
         """Rows of the per-thread register tile (HREG)."""
         return -(-self.m // self.rdim)
 
-    @property
+    @functools.cached_property
     def wreg(self) -> int:
         """Columns of the per-thread register tile (WREG)."""
         return -(-self.n // self.rdim)
@@ -65,7 +68,7 @@ class BlockConfig:
     @property
     def panels(self) -> int:
         """Column panels: each panel holds sqrt(p) columns."""
-        return -(-self.n // self.rdim)
+        return self.wreg
 
     def column_tile_rows(self, column: int) -> int:
         """N for ``column``: per-thread rows of the active column.

@@ -5,8 +5,9 @@ per trailing-matrix update, the FLOPs (``gamma`` each, FMA = 1), shared
 memory accesses (``beta`` each, where ``beta`` is the per-access shared
 latency), and synchronizations (``alpha_sync`` each).  Reductions are
 serial across the sqrt(p) threads of a column: ``(1 + sqrt(p)) beta +
-sqrt(p) gamma``.  This module reproduces those counts *verbatim* from
-Table VI, generalized to
+sqrt(p) gamma``.  This module writes Table VI's counts once, as the
+unweighted event totals of its ``_count_*`` functions, and prices them
+with Eq. 2's latencies (:func:`_price`), generalized to
 
 * non-square matrices (N follows the shrinking row panels),
 * complex arithmetic (one complex FMA = 4 dependent real instructions,
@@ -25,7 +26,7 @@ the engine-measured curves is the evidence.
 from __future__ import annotations
 
 import dataclasses
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from ..gpu.instructions import costs_for
 from ..gpu.occupancy import Occupancy, occupancy
@@ -54,8 +55,7 @@ QR_OPS = ("Form HH Vector", "Matrix-Vector Multiply", "Rank-1 Update")
 LU_OPS = ("Column Op", "Rank-1 Update")
 
 
-@dataclasses.dataclass(frozen=True)
-class OpEstimate:
+class OpEstimate(NamedTuple):
     """Cycles of one named operation within a column step."""
 
     name: str
@@ -68,8 +68,7 @@ class OpEstimate:
         return self.flops_cycles + self.shared_cycles + self.sync_cycles
 
 
-@dataclasses.dataclass(frozen=True)
-class ColumnEstimate:
+class ColumnEstimate(NamedTuple):
     """All operations of one column step (column op + trailing update)."""
 
     column: int
@@ -81,16 +80,37 @@ class ColumnEstimate:
         return sum(op.total for op in self.ops)
 
 
-def _reduction_cycles(
-    params: ModelParameters, rdim: int, op_factor: int
-) -> tuple[float, float]:
-    """(shared, flops) cycles of one serial cross-thread reduction.
+def _latencies(
+    params: ModelParameters, config: BlockConfig, fast_math: bool
+) -> tuple[float, float, float, float, float]:
+    """Eq. 2's per-event cycles for ``config``'s launch: gamma, divide,
+    square root, shared access (Table VI's beta) and alpha_sync.  A
+    complex divide or square root takes twice the real latency."""
+    costs = costs_for(params.device)
+    scale = 2 if config.complex_dtype else 1
+    return (
+        params.gamma,
+        costs.div(fast_math) * scale,
+        costs.sqrt(fast_math) * scale,
+        params.alpha_sh,
+        params.sync_latency(config.threads),
+    )
 
-    Table VI: ``(1 + sqrt(p)) beta + sqrt(p) gamma``.
-    """
-    shared = (1 + rdim) * params.alpha_sh
-    flops = rdim * params.gamma * op_factor
-    return shared, flops
+
+def _price(
+    ops: tuple[OpCounts, ...], latencies: tuple[float, float, float, float, float]
+) -> tuple[OpEstimate, ...]:
+    """Weight one column step's Table VI counts by Eq. 2's latencies."""
+    gamma, div, sqrt, beta, sync = latencies
+    return tuple(
+        OpEstimate(
+            op.name,
+            op.flop_ops * gamma + op.divs * div + op.sqrts * sqrt,
+            op.shared * beta,
+            op.syncs * sync,
+        )
+        for op in ops
+    )
 
 
 def estimate_lu_column(
@@ -100,30 +120,11 @@ def estimate_lu_column(
     fast_math: bool = True,
 ) -> ColumnEstimate:
     """Table VI, LU rows, for one column step."""
-    costs = costs_for(params.device)
-    rdim = config.rdim
     n_tile = config.column_tile_rows(column)
-    op_factor = 2 if config.complex_dtype else 1
-    beta = params.alpha_sh
-    gamma = params.gamma * op_factor
-    sync = params.sync_latency(config.threads)
-
-    col = OpEstimate(
-        name=LU_OPS[0],
-        # gamma_div (thread 0 scale factor) + N gamma (scale l vector)
-        flops_cycles=costs.div(fast_math) * op_factor + n_tile * gamma,
-        # 2 beta (write+read scale) + 2N beta (write l & u to shared)
-        shared_cycles=2 * beta + 2 * n_tile * beta,
-        # alpha_sync after the scale factor, alpha_sync after l & u
-        sync_cycles=2 * sync,
+    ops = _count_lu_column(n_tile, 2 if config.complex_dtype else 1)
+    return ColumnEstimate(
+        column, n_tile, _price(ops, _latencies(params, config, fast_math))
     )
-    trailing = OpEstimate(
-        name=LU_OPS[1],
-        flops_cycles=n_tile * n_tile * gamma,  # N^2 gamma rank-1 update
-        shared_cycles=2 * n_tile * beta,  # read l & u from shared
-        sync_cycles=sync,
-    )
-    return ColumnEstimate(column=column, n_tile=n_tile, ops=(col, trailing))
 
 
 def estimate_qr_column(
@@ -133,72 +134,11 @@ def estimate_qr_column(
     fast_math: bool = True,
 ) -> ColumnEstimate:
     """Table VI, QR rows, for one column step."""
-    costs = costs_for(params.device)
-    rdim = config.rdim
     n_tile = config.column_tile_rows(column)
-    op_factor = 2 if config.complex_dtype else 1
-    beta = params.alpha_sh
-    gamma = params.gamma * op_factor
-    sync = params.sync_latency(config.threads)
-    red_shared, red_flops = _reduction_cycles(params, rdim, op_factor)
-
-    form_hh = OpEstimate(
-        name=QR_OPS[0],
-        flops_cycles=(
-            n_tile * gamma  # column norm partial sums
-            + red_flops  # thread-0 norm reduction
-            + costs.sqrt(fast_math) * op_factor
-            + 2 * costs.div(fast_math) * op_factor
-            + 2 * gamma  # scale-factor arithmetic
-            + n_tile * gamma  # column scale
-        ),
-        shared_cycles=(
-            red_shared  # norm reduction traffic
-            + 2 * beta  # write and read scale factor
-            + n_tile * beta  # write scaled column to shared
-        ),
-        sync_cycles=sync,
+    ops = _count_qr_column(n_tile, config.rdim, 2 if config.complex_dtype else 1)
+    return ColumnEstimate(
+        column, n_tile, _price(ops, _latencies(params, config, fast_math))
     )
-    mv = OpEstimate(
-        name=QR_OPS[1],
-        flops_cycles=n_tile * n_tile * gamma + red_flops,
-        shared_cycles=n_tile * beta + red_shared,  # read HH vector + reduction
-        sync_cycles=2 * sync,
-    )
-    rank1 = OpEstimate(
-        name=QR_OPS[2],
-        flops_cycles=n_tile * n_tile * gamma,
-        shared_cycles=n_tile * beta,  # read the w vector
-        sync_cycles=sync,
-    )
-    return ColumnEstimate(column=column, n_tile=n_tile, ops=(form_hh, mv, rank1))
-
-
-def _gj_column(
-    params: ModelParameters, config: BlockConfig, column: int, fast_math: bool
-) -> ColumnEstimate:
-    """Gauss-Jordan: like LU's column, but the rank-1 update spans all
-    HREG rows (the eliminated rows keep updating) and all trailing
-    columns including the appended right-hand side."""
-    costs = costs_for(params.device)
-    n_tile = config.hreg  # rows never drop out in Gauss-Jordan
-    op_factor = 2 if config.complex_dtype else 1
-    beta = params.alpha_sh
-    gamma = params.gamma * op_factor
-    sync = params.sync_latency(config.threads)
-    col = OpEstimate(
-        name=LU_OPS[0],
-        flops_cycles=costs.div(fast_math) * op_factor + n_tile * gamma,
-        shared_cycles=2 * beta + 2 * n_tile * beta,
-        sync_cycles=2 * sync,
-    )
-    trailing = OpEstimate(
-        name=LU_OPS[1],
-        flops_cycles=n_tile * n_tile * gamma,
-        shared_cycles=2 * n_tile * beta,
-        sync_cycles=sync,
-    )
-    return ColumnEstimate(column=column, n_tile=n_tile, ops=(col, trailing))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,22 +183,29 @@ def predict_per_block(
     n = m if n is None else n
     cfg = config or block_config(m, n, complex_dtype=complex_dtype)
 
-    if kind == "qr":
-        column_fn = estimate_qr_column
-    elif kind in ("lu",):
-        column_fn = estimate_lu_column
-    elif kind == "gauss_jordan":
-        column_fn = _gj_column
-    elif kind == "least_squares":
-        # Least squares = QR on [A|b] plus a triangular solve whose cost
-        # the paper folds into the same column machinery.
-        column_fn = estimate_qr_column
-    else:
+    if kind not in ("qr", "lu", "gauss_jordan", "least_squares"):
         raise ValueError(f"unknown factorization kind: {kind!r}")
-
-    columns = tuple(
-        column_fn(params, cfg, j, fast_math) for j in range(n - 1)
-    )
+    # Least squares = QR on [A|b] plus a triangular solve whose cost the
+    # paper folds into the same column machinery.
+    qr = kind in ("qr", "least_squares")
+    cost = 2 if cfg.complex_dtype else 1
+    latencies = _latencies(params, cfg, fast_math)
+    # A column's estimate depends on its N alone, so each N is priced once.
+    priced: dict[int, tuple[OpEstimate, ...]] = {}
+    columns = []
+    for j in range(n - 1):
+        if kind == "gauss_jordan":
+            n_tile = cfg.hreg  # rows never drop out in Gauss-Jordan
+        else:
+            n_tile = cfg.column_tile_rows(j)
+        ops = priced.get(n_tile)
+        if ops is None:
+            if qr:
+                counts = _count_qr_column(n_tile, cfg.rdim, cost)
+            else:
+                counts = _count_lu_column(n_tile, cost)
+            ops = priced[n_tile] = _price(counts, latencies)
+        columns.append(ColumnEstimate(j, n_tile, ops))
     compute = sum(c.total for c in columns)
 
     # Occupancy: the model caps registers at the architectural limit and
@@ -275,7 +222,7 @@ def predict_per_block(
     return PerBlockPrediction(
         kind=kind,
         config=cfg,
-        columns=columns,
+        columns=tuple(columns),
         compute_cycles=compute,
         dram_cycles=dram_cycles,
         flops_per_problem=workload_flops(kind, m, n, complex_dtype),
@@ -286,12 +233,13 @@ def predict_per_block(
 # ----------------------------------------------------------------------
 # Closed-form hardware-event counts
 #
-# The cycle estimates above weight each event by a latency parameter;
-# the counts below are the *unweighted* event totals -- exactly what the
-# engine's charge_* accumulators record when the corresponding kernel in
-# ``repro.kernels.device`` runs.  ``repro.analyze.costcheck`` certifies
-# that equality over the whole kernel registry, so any kernel edit that
-# changes its cost profile must update these formulas in the same change.
+# Table VI is written once, here, as *unweighted* event totals -- exactly
+# what the engine's charge_* accumulators record when the corresponding
+# kernel in ``repro.kernels.device`` runs; the cycle estimates above are
+# these counts weighted by :func:`_price`.  ``repro.analyze.costcheck``
+# certifies the equality over the whole kernel registry, so any kernel
+# edit that changes its cost profile must update these formulas in the
+# same change.
 # ----------------------------------------------------------------------
 
 COUNT_KINDS = (
@@ -305,8 +253,7 @@ COUNT_KINDS = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class OpCounts:
+class OpCounts(NamedTuple):
     """Hardware-event counts of one named operation (charge_* units)."""
 
     name: str
@@ -373,9 +320,9 @@ class BlockCounts:
         return self.config.registers_per_thread
 
 
-def _count_lu_column(cfg: BlockConfig, j: int, cost: int) -> tuple[OpCounts, ...]:
-    """One LU column step: Listing 5/6 column op + Listing 7 update."""
-    n_tile = cfg.column_tile_rows(j)
+def _count_lu_column(n_tile: int, cost: int) -> tuple[OpCounts, ...]:
+    """One LU column step with N = ``n_tile``: Listing 5/6 column op +
+    Listing 7 update.  A Gauss-Jordan step is the same at N = HREG."""
     col = OpCounts(
         name=LU_OPS[0],
         flop_ops=n_tile * cost,
@@ -393,10 +340,9 @@ def _count_lu_column(cfg: BlockConfig, j: int, cost: int) -> tuple[OpCounts, ...
     return (col, trailing)
 
 
-def _count_qr_column(cfg: BlockConfig, j: int, cost: int) -> tuple[OpCounts, ...]:
-    """One Householder column: the three operations of Figure 8."""
-    n_tile = cfg.column_tile_rows(j)
-    rdim = cfg.rdim
+def _count_qr_column(n_tile: int, rdim: int, cost: int) -> tuple[OpCounts, ...]:
+    """One Householder column with N = ``n_tile`` on a ``rdim``-wide
+    thread grid: the three operations of Figure 8."""
     form_hh = OpCounts(
         name=QR_OPS[0],
         # norm partials + serial reduction + scale-factor arithmetic +
@@ -478,13 +424,13 @@ def per_block_counts(
     else:
         cfg = block_config(m, n, complex_dtype=complex_dtype)
 
+    rdim = cfg.rdim
     ops: list[OpCounts] = []
     if kind == "lu":
         for j in range(n - 1):
-            ops.extend(_count_lu_column(cfg, j, cost))
+            ops.extend(_count_lu_column(cfg.column_tile_rows(j), cost))
         load, store = m * n * word, m * n * word
     elif kind == "lu_pivot":
-        rdim, wreg = cfg.rdim, cfg.wreg
         for j in range(n - 1):
             n_tile = cfg.column_tile_rows(j)
             ops.append(
@@ -500,43 +446,26 @@ def per_block_counts(
             ops.append(
                 OpCounts(
                     name="Row Swap",
-                    shared=4 * wreg,
-                    shared_writes=2 * wreg,
+                    shared=4 * cfg.wreg,
+                    shared_writes=2 * cfg.wreg,
                     syncs=2,
                 )
             )
-            ops.extend(_count_lu_column(cfg, j, cost))
+            ops.extend(_count_lu_column(n_tile, cost))
         load, store = m * n * word, m * n * word
     elif kind == "qr":
         for j in range(_qr_steps(m, n)):
-            ops.extend(_count_qr_column(cfg, j, cost))
+            ops.extend(_count_qr_column(cfg.column_tile_rows(j), rdim, cost))
         load, store = m * n * word, m * n * word
     elif kind == "qr_solve":
         for j in range(_qr_steps(n, n)):
-            ops.extend(_count_qr_column(cfg, j, cost))
+            ops.extend(_count_qr_column(cfg.column_tile_rows(j), rdim, cost))
         ops.extend(_count_back_substitution(cfg, n, cost))
         load, store = n * (n + 1) * word, n * word
     elif kind == "gauss_jordan":
-        n_tile = cfg.hreg  # rows never drop out in Gauss-Jordan
         for _ in range(n):
-            ops.append(
-                OpCounts(
-                    name=LU_OPS[0],
-                    flop_ops=n_tile * cost,
-                    divs=1,
-                    shared=2 + 2 * n_tile,
-                    shared_writes=2 * n_tile,
-                    syncs=2,
-                )
-            )
-            ops.append(
-                OpCounts(
-                    name=LU_OPS[1],
-                    flop_ops=n_tile * n_tile * cost,
-                    shared=2 * n_tile,
-                    syncs=1,
-                )
-            )
+            # rows never drop out in Gauss-Jordan
+            ops.extend(_count_lu_column(cfg.hreg, cost))
         load, store = n * (n + 1) * word, n * word
     elif kind == "cholesky":
         for j in range(n):
@@ -563,7 +492,7 @@ def per_block_counts(
         load, store = n * n * word, n * n * word
     else:  # least_squares
         for j in range(_qr_steps(m, n)):
-            ops.extend(_count_qr_column(cfg, j, cost))
+            ops.extend(_count_qr_column(cfg.column_tile_rows(j), rdim, cost))
         ops.extend(_count_back_substitution(cfg, n, cost))
         if m > n:
             ops.append(

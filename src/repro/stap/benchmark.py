@@ -116,8 +116,7 @@ def run_stap_case(
         res = tiled_qr(training, device=device, fast_math=fast_math)
         seconds = 0.0
         for launch in res.launches:
-            resident = launch.occupancy.blocks_per_chip
-            seconds += -(-batch // resident) * launch.seconds_per_block
+            seconds += launch.batch_seconds(batch)
         gpu_gflops = case.flops_per_problem * batch / seconds / 1e9
         r = res.r
         method = f"tiled ({len(res.launches)} stages)"

@@ -70,8 +70,7 @@ def choose_tile_rows(
         total = 0.0
         for rows, cols in _stage_shapes(m, n, tile_rows):
             launch = replay.launch(Workload("qr", rows, cols, batch, complex_dtype))
-            resident = launch.occupancy.blocks_per_chip
-            total += -(-batch // resident) * launch.seconds_per_block
+            total += launch.batch_seconds(batch)
         if total < best_time:
             best_rows, best_time = tile_rows, total
     return best_rows
@@ -95,9 +94,7 @@ class TiledQrResult:
         processing the batch in resident-block waves."""
         total = 0.0
         for launch in self.launches:
-            resident = launch.occupancy.blocks_per_chip
-            waves = -(-self.batch // resident)
-            total += waves * launch.seconds_per_block
+            total += launch.batch_seconds(self.batch)
         return total
 
     @property
@@ -213,6 +210,5 @@ def tiled_qr_timing(
     )
     seconds = 0.0
     for launch in launches:
-        resident = launch.occupancy.blocks_per_chip
-        seconds += -(-batch // resident) * launch.seconds_per_block
+        seconds += launch.batch_seconds(batch)
     return shapes, launches, seconds

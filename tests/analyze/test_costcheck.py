@@ -109,6 +109,7 @@ class TestInterpreter:
                 dram_bytes=128.0 * batch * batch,  # superlinear in batch
                 flops_per_problem=100.0,
                 registers=RegisterAllocation(QUADRO_6000, 20),
+                spill_bytes=0.0,
             )
 
         case = _lu_case(4, 4, run, name="fake_thread", family="per_thread")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import RegisterFileOverflowError
+from repro.errors import LaunchConfigurationError, RegisterFileOverflowError
 from repro.gpu import QUADRO_6000, BlockEngine
 from repro.gpu.simt import OVERHEAD_PER_EVENT
 
@@ -175,6 +175,11 @@ class TestRejections:
         assert after.counters.snapshot() == before.counters.snapshot()
 
 
+    def test_zero_threads_rejected(self):
+        with pytest.raises(LaunchConfigurationError):
+            make_engine(threads_per_block=0)
+
+
 class TestLaunchResult:
     def test_phase_totals_recorded(self):
         eng = make_engine()
@@ -215,3 +220,14 @@ class TestLaunchResult:
         eng.charge_flops(1)
         with pytest.raises(ValueError):
             eng.result().throughput_gflops(0)
+        with pytest.raises(ValueError):
+            eng.result().batch_seconds(0)
+
+    @pytest.mark.parametrize("waves, problems", [(1, 1), (1, 112), (2, 113), (3, 336)])
+    def test_batch_seconds_counts_whole_waves(self, waves, problems):
+        # 112 blocks are resident at 64 threads and 56 registers.
+        eng = make_engine()
+        eng.charge_flops(100)
+        res = eng.result(flops_per_block=1000)
+        assert res.occupancy.blocks_per_chip == 112
+        assert res.batch_seconds(problems) == waves * res.seconds_per_block

@@ -4,6 +4,7 @@ cycle accounting that regenerates Table V / Figure 8."""
 import numpy as np
 import pytest
 
+from repro.errors import LaunchConfigurationError
 from repro.kernels.batched import (
     diagonally_dominant_batch,
     gauss_jordan_solve,
@@ -21,7 +22,12 @@ from repro.kernels.device import (
     per_block_qr_solve,
     per_thread_factor,
 )
-from repro.model import ModelParameters, predict_per_block, predict_per_thread
+from repro.model import (
+    ModelParameters,
+    block_config,
+    predict_per_block,
+    predict_per_thread,
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +99,14 @@ class TestPerBlockGaussJordan:
         dev = per_block_gauss_jordan(a, b)
         assert dev.extra.tolist() == [False, True, False]
         assert np.isnan(dev.output[1]).all()
+
+    def test_config_of_another_shape_rejected(self):
+        # The launch is the augmented 8 x 9 system; an 8 x 8 config would
+        # size the register tiles for a different block.
+        a = diagonally_dominant_batch(2, 8, dtype=np.float32)
+        b = rhs_batch(2, 8, dtype=np.float32)[:, :, 0]
+        with pytest.raises(LaunchConfigurationError):
+            per_block_gauss_jordan(a, b, config=block_config(8, 8))
 
 
 class TestTableV:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import LaunchConfigurationError
 from repro.layouts import compare_layouts, estimate_qr_solve
 from repro.model import ModelParameters
 
@@ -70,3 +71,12 @@ class TestEstimator:
         assert est.layout == "row_cyclic"
         assert est.n == 48
         assert est.threads == 64
+
+    @pytest.mark.parametrize("threads", [48, 60])
+    def test_2d_rejects_non_square_block(self, params, threads):
+        # A 2D cyclic grid needs a square thread count, as Cyclic2D and
+        # the per-block model's BlockConfig require.
+        with pytest.raises(LaunchConfigurationError):
+            estimate_qr_solve(params, "cyclic2d", 32, threads=threads)
+        with pytest.raises(LaunchConfigurationError):
+            compare_layouts(params, 32, threads=threads)

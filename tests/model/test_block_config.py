@@ -46,6 +46,11 @@ class TestGeometry:
         with pytest.raises(LaunchConfigurationError):
             BlockConfig(m=0, n=8, threads=64)
 
+    def test_zero_threads_rejected(self):
+        # isqrt(0) ** 2 == 0, so the square check alone would admit it.
+        with pytest.raises(LaunchConfigurationError):
+            BlockConfig(m=4, n=4, threads=0)
+
     def test_registers_count_complex_double(self):
         real = BlockConfig(m=56, n=56, threads=64).registers_per_thread
         cplx = BlockConfig(m=56, n=56, threads=64, complex_dtype=True)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.gpu import costs_for
 from repro.model import (
     ModelParameters,
     estimate_lu_column,
@@ -10,7 +11,7 @@ from repro.model import (
     panel_breakdown,
     predict_per_block,
 )
-from repro.model.per_block_model import LU_OPS, QR_OPS
+from repro.model.per_block_model import LU_OPS, QR_OPS, per_block_counts
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,30 @@ class TestColumnEstimates:
         real = estimate_qr_column(params, real_cfg, 0)
         cplx = estimate_qr_column(params, cplx_cfg, 0)
         assert real.total < cplx.total < 2 * real.total
+
+
+class TestPricesTheCertifiedCounts:
+    """Each model op is its closed-form counts (the ones costcheck holds
+    equal to the engine) weighted by Eq. 2's latencies."""
+
+    @pytest.mark.parametrize("kind", ["lu", "qr"])
+    @pytest.mark.parametrize("n, complex_dtype", [(8, False), (56, False), (80, True)])
+    def test_ops_are_weighted_counts(self, params, kind, n, complex_dtype):
+        pred = predict_per_block(
+            params, kind, n, complex_dtype=complex_dtype, fast_math=False
+        )
+        counts = per_block_counts(kind, n, complex_dtype=complex_dtype).ops
+        ops = [op for col in pred.columns for op in col.ops]
+        assert [op.name for op in ops] == [c.name for c in counts]
+        costs = costs_for(params.device)
+        scale = 2 if complex_dtype else 1
+        div, sqrt = scale * costs.div(False), scale * costs.sqrt(False)
+        sync = params.sync_latency(pred.config.threads)
+        for op, c in zip(ops, counts):
+            flops = c.flop_ops * params.gamma + c.divs * div + c.sqrts * sqrt
+            assert op.flops_cycles == pytest.approx(flops)
+            assert op.shared_cycles == pytest.approx(c.shared * params.alpha_sh)
+            assert op.sync_cycles == c.syncs * sync
 
 
 class TestWholeFactorization:

@@ -123,6 +123,17 @@ class TestTiledQr:
         np.testing.assert_allclose(gram_r, gram_a, rtol=1e-6, atol=1e-7)
 
 
+class TestTiledTiming:
+    def test_seconds_sum_each_stage_in_waves(self):
+        a = random_batch(3, 128, 32, dtype=np.float32, seed=3)
+        res = tiled_qr(a, tile_rows=64)
+        assert len(res.launches) == 2
+        total = 0.0
+        for launch in res.launches:
+            total += launch.batch_seconds(res.batch)
+        assert res.seconds == total
+
+
 class TestChooseTileRows:
     def test_small_problem_single_tile(self):
         assert choose_tile_rows(40, 40, False, QUADRO_6000) == 40
