@@ -16,6 +16,7 @@ from ...errors import ShapeError
 __all__ = [
     "as_batch",
     "batch_last",
+    "working_dtype",
     "check_square_batch",
     "check_tall_batch",
     "qr_reconstruction_error",
@@ -34,14 +35,20 @@ _SUPPORTED = (np.float32, np.float64, np.complex64, np.complex128)
 COPY_BLOCK = 64
 
 
+def working_dtype(dtype: np.dtype) -> np.dtype:
+    """The dtype :func:`as_batch` turns ``dtype`` input into: integers
+    widen to float64, every other dtype stays."""
+    return np.dtype(np.float64) if dtype.kind in "iu" else dtype
+
+
 def as_batch(matrices: np.ndarray) -> np.ndarray:
     """Coerce to a ``(batch, m, n)`` array of a supported dtype (copy)."""
     arr = np.asarray(matrices)
-    if arr.dtype not in [np.dtype(d) for d in _SUPPORTED]:
-        if arr.dtype.kind in "iu":
-            arr = arr.astype(np.float64)
-        else:
-            raise ShapeError(f"unsupported dtype: {arr.dtype}")
+    dtype = working_dtype(arr.dtype)
+    if dtype not in [np.dtype(d) for d in _SUPPORTED]:
+        raise ShapeError(f"unsupported dtype: {arr.dtype}")
+    if dtype != arr.dtype:
+        arr = arr.astype(dtype)
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3:

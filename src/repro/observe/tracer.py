@@ -29,6 +29,7 @@ launch's tape once per shape and replay it on every traced launch.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import threading
 import time
@@ -146,6 +147,9 @@ class Tracer:
         self.events: deque[Event] = deque(maxlen=self.capacity)
         self.counters = CounterRegistry()
         self.dropped = 0
+        #: This buffer's own overflow (``dropped`` also counts what
+        #: ingested sources dropped); see :attr:`appended`.
+        self._evicted = 0
         self._ts = 0.0
         self._span_stack: list[Span] = []
         #: Clock anchor for real-time (profile) events; see
@@ -175,7 +179,33 @@ class Tracer:
     def _emit(self, event: Event) -> None:
         if len(self.events) == self.capacity:
             self.dropped += 1
+            self._evicted += 1
         self.events.append(event)
+
+    def _overflow(self, count: int) -> None:
+        """Count the events ``count`` more appends push out of the buffer."""
+        overflow = len(self.events) + count - self.capacity
+        if overflow > 0:
+            self.dropped += overflow
+            self._evicted += overflow
+
+    @property
+    def appended(self) -> int:
+        """Events recorded since construction or :meth:`clear`, evicted or not."""
+        return len(self.events) + self._evicted
+
+    def since(self, mark: int) -> list:
+        """The buffered events recorded after :attr:`appended` read ``mark``.
+
+        Reads only those events, newest first from the buffer's end, so
+        its cost is the window's size, not the buffer's.
+        """
+        count = min(len(self.events), self.appended - mark)
+        if count <= 0:
+            return []
+        window = list(itertools.islice(reversed(self.events), count))
+        window.reverse()
+        return window
 
     # ------------------------------------------------------------------
     # Recording API
@@ -264,29 +294,27 @@ class Tracer:
         that overflowed does not fold into a launch trace that looks
         complete; the runtime reports the launch's total once, as the
         ``runtime.trace_dropped`` event.  Events are replayed in the
-        order given; returns the number ingested.
+        order given, in one pass: one append of the lot, the clock
+        advanced once, and the overflow counted as one emit per event
+        would count it; returns the number ingested.
         """
         self.dropped += int(dropped)
         base = clock.offset_from(self.origin) if clock is not None else self._ts
-        count = 0
+        end = self._ts
+        fresh = []
         for ev in events:
-            args = dict(ev.args) if ev.args else {}
-            if tags:
-                args.update(tags)
+            if ev.args:
+                args = {**ev.args, **tags}
+            else:
+                args = dict(tags) if tags else None
             ts = base + ev.ts
-            self._stamp(ts, ev.dur)
-            self._emit(
-                Event(
-                    name=ev.name,
-                    category=ev.category,
-                    ph=ev.ph,
-                    ts=ts,
-                    dur=ev.dur,
-                    args=args or None,
-                )
-            )
-            count += 1
-        return count
+            if ts + ev.dur > end:
+                end = ts + ev.dur
+            fresh.append(Event(ev.name, ev.category, ev.ph, ts, ev.dur, args))
+        self._overflow(len(fresh))
+        self.events.extend(fresh)
+        self._ts = end
+        return len(fresh)
 
     # ------------------------------------------------------------------
     @property
@@ -301,6 +329,7 @@ class Tracer:
     def clear(self) -> None:
         self.events.clear()
         self.dropped = 0
+        self._evicted = 0
         self._ts = 0.0
         self._span_stack.clear()
 
@@ -391,7 +420,7 @@ class TraceTape:
     def replay(self, tracer: Tracer) -> None:
         """Apply the recorded calls to ``tracer``."""
         events = tracer.events
-        overflow = len(events) + self.size - tracer.capacity
+        tracer._overflow(self.size)
         clock = tracer._ts
         for run, end, tick in self.segments:
             if run:
@@ -406,8 +435,6 @@ class TraceTape:
                 if stop > clock:
                     clock = stop
         tracer._ts = clock
-        if overflow > 0:
-            tracer.dropped += overflow
         self.counters.replay(tracer.counters)
 
 

@@ -8,7 +8,9 @@ after the chunks complete, each outcome is scanned with its kernel's
 breakdown detector (its :attr:`~repro.kernels.device.KernelInfo.detector`),
 failing slots are masked to NaN in the merged output, and a structured
 :class:`ProblemFailure` record (op, group, batch index, reason) lands on
-``BatchReport.failures``.
+``BatchReport.failures``.  The runtime scans each chunk as it lands in
+the launch's result (:func:`quarantine_chunk`), while the other chunks
+are still running, so the scan is not part of the merge.
 
 The failure-free path is untouched bit for bit: detectors are pure
 reads, and masking copies nothing unless a breakdown was actually found.
@@ -21,7 +23,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-__all__ = ["ProblemFailure", "quarantine_outcomes", "scan_output"]
+__all__ = ["ProblemFailure", "quarantine_chunk", "quarantine_outcomes", "scan_output"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,37 +61,49 @@ def scan_output(op: str, output: np.ndarray, extra) -> Dict[int, str]:
     return detector(output, extra)
 
 
+def _mask(op: str, chunk, output: np.ndarray, found: Dict[int, str]):
+    """NaN-mask the ``found`` problems of ``output``; their records."""
+    failures: List[ProblemFailure] = []
+    for local_index in sorted(found):
+        output[local_index] = np.nan
+        failures.append(
+            ProblemFailure(
+                op=op,
+                group=chunk.group,
+                index=chunk.start + local_index,
+                reason=found[local_index],
+            )
+        )
+    return failures
+
+
+def quarantine_chunk(op: str, chunk, output: np.ndarray, extra) -> List[ProblemFailure]:
+    """Scan one chunk's rows of a launch result and mask its breakdowns.
+
+    ``output``/``extra`` are the chunk's (writable) rows of its group's
+    result; failing problems are NaN-masked there, in place.  Returns
+    their records in batch order.
+    """
+    return _mask(op, chunk, output, scan_output(op, output, extra))
+
+
 def quarantine_outcomes(
     batch, chunks: Sequence, outcomes: Sequence
 ) -> List[ProblemFailure]:
     """Scan, mask, and report breakdowns across a launch's outcomes.
 
     ``chunks`` and ``outcomes`` are the parallel submission-order
-    sequences the merge consumes.  Failing slots are NaN-masked
-    *in place* on the outcome arrays (they are chunk-private, fresh from
-    a worker or an inline run), so the subsequent merge concatenates the
-    masked bytes without a second pass.  Returns the failure records in
-    (group, index) order.
+    sequences :func:`~repro.runtime.merge.merge_outcomes` consumes.
+    Failing slots are NaN-masked *in place* on the outcome arrays, so
+    the merge copies the masked bytes without a second pass.  Returns
+    the failure records in (group, index) order.
     """
     failures: List[ProblemFailure] = []
     for chunk, outcome in zip(chunks, outcomes):
-        group = batch.groups[chunk.group]
-        found = scan_output(group.op, outcome.output, outcome.extra)
-        if not found:
-            continue
-        output = outcome.output
-        if not output.flags.writeable:  # resumed/journaled arrays may be
-            output = np.array(output, copy=True)
-            outcome.output = output
-        for local_index in sorted(found):
-            output[local_index] = np.nan
-            failures.append(
-                ProblemFailure(
-                    op=group.op,
-                    group=chunk.group,
-                    index=chunk.start + local_index,
-                    reason=found[local_index],
-                )
-            )
+        op = batch.groups[chunk.group].op
+        found = scan_output(op, outcome.output, outcome.extra)
+        if found and not outcome.output.flags.writeable:
+            outcome.output = np.array(outcome.output, copy=True)
+        failures.extend(_mask(op, chunk, outcome.output, found))
     failures.sort(key=lambda f: (f.group, f.index))
     return failures

@@ -124,8 +124,9 @@ def outcome_checksum(output: np.ndarray, extra: Optional[np.ndarray]) -> str:
 
     CRC32 over the raw array buffers, not a cryptographic hash: the
     adversary is a flipped bit, and the supervisor re-hashes every chunk
-    serially on the launch process's critical path, so throughput is
-    what keeps the failure-free overhead tripwire (<2%) honest.
+    on the launch process's critical path (a pooled chunk's over its
+    arena slot), so throughput is what keeps the failure-free overhead
+    tripwire (<2%) honest.
     """
     value = zlib.crc32(np.ascontiguousarray(output))
     if extra is not None:
@@ -143,17 +144,20 @@ def _verified(outcome) -> bool:
 Entry = Tuple[int, tuple]  # (chunk index, payload for ``execute``)
 
 
-def _exit_with_parent() -> None:
+def _exit_with_parent(orphaned: Optional[Callable[[], None]] = None) -> None:
     """Pool initializer: end this worker when its parent process dies.
 
     An idle worker blocks reading the call queue, whose write end it
     holds itself, so without this it would outlive a launch process
-    killed by a signal.
+    killed by a signal.  ``orphaned`` runs first: what the dead parent
+    can no longer release, the worker releases on its way out.
     """
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch() -> None:
         multiprocessing.connection.wait([sentinel])
+        if orphaned is not None:
+            orphaned()
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
@@ -166,12 +170,19 @@ class WorkerPool:
     live pool to every later launch.  :meth:`kill` (a broken pool, a
     missed deadline, an error exit) and :meth:`close` drop it; the next
     :meth:`executor` call then builds a fresh one.  Nothing else builds,
-    kills or shuts down a pool.
+    kills or shuts down a pool.  ``orphaned`` (a picklable callable)
+    runs in a worker whose parent died, before it exits.
     """
 
-    def __init__(self, max_workers: int, start_method: str) -> None:
+    def __init__(
+        self,
+        max_workers: int,
+        start_method: str,
+        orphaned: Optional[Callable[[], None]] = None,
+    ) -> None:
         self.max_workers = max_workers
         self.start_method = start_method
+        self.orphaned = orphaned
         self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
     def executor(self) -> concurrent.futures.ProcessPoolExecutor:
@@ -181,6 +192,7 @@ class WorkerPool:
                 max_workers=self.max_workers,
                 mp_context=multiprocessing.get_context(self.start_method),
                 initializer=_exit_with_parent,
+                initargs=(self.orphaned,),
             )
         return self._executor
 
@@ -374,6 +386,7 @@ def supervise_pool(
     nchunks: int = 1,
     on_complete: Optional[Callable[[int, object], None]] = None,
     profile=None,
+    slots=None,
 ) -> Tuple[Dict[int, object], SuperviseStats]:
     """Run chunks on a supervised process pool; see the module docstring.
 
@@ -387,6 +400,16 @@ def supervise_pool(
     :class:`~repro.observe.profile.ProfileEmitter`; when set, every
     submission (including retries and forgiven resubmissions) and every
     chunk completion lands in the batch span tree.
+
+    ``slots`` (a :class:`~repro.runtime.arena.Slots`) moves each pool
+    attempt's input and output through shared memory: before every
+    submission ``slots.load(index, payload)`` copies the chunk's input
+    into its slot and gives the payload the worker runs, and a returned
+    outcome's ``output`` is the slot (``slots.view(index)``), verified
+    there.  The slot is reused, so ``on_complete`` must copy the output
+    out.  A deadline or a broken pool kills the workers before any
+    resubmission, so no stale attempt writes a reloaded slot.  Inline
+    attempts run on the entries' own payloads.
     """
     outcomes: Dict[int, object] = {}
     stats = SuperviseStats(scope=profile.scope if profile is not None else None)
@@ -460,9 +483,12 @@ def supervise_pool(
                 if delay:
                     time.sleep(delay)
                 submit_start = spans.now()
+                payload = payloads[index]
+                if slots is not None:
+                    payload = slots.load(index, payload)
                 future = executor.submit(
                     execute,
-                    *payloads[index],
+                    *payload,
                     chunk_index=index,
                     attempt=attempts[index],
                     nchunks=nchunks,
@@ -511,6 +537,8 @@ def supervise_pool(
                 except Exception:  # noqa: BLE001 -- worker-side failure
                     fail(index, "crash")
                 else:
+                    if slots is not None:
+                        outcome.output = slots.view(index)
                     if not _verified(outcome):
                         fail(index, "corrupt")
                         continue

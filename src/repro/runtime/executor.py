@@ -3,9 +3,10 @@
 :class:`BatchRuntime` turns the serial one-launch-per-batch story into a
 real execution runtime: a :class:`~repro.runtime.sharding.ProblemBatch`
 is split into size-aware chunks, the chunks run on a
-:class:`concurrent.futures.ProcessPoolExecutor`, and the per-chunk
-outputs, hardware counters, and trace events merge back -- in submission
-order -- into a single :class:`~repro.runtime.merge.BatchReport`.
+:class:`concurrent.futures.ProcessPoolExecutor`, each chunk's output
+lands in its rows of the launch's result as it completes, and the
+hardware counters and trace events merge back -- in submission order --
+into a single :class:`~repro.runtime.merge.BatchReport`.
 
 Guarantees the tests pin down:
 
@@ -23,6 +24,10 @@ Guarantees the tests pin down:
   :meth:`BatchRuntime.close` (or the ``with`` block, or when the runtime
   is dropped); each chunk carries the launch's telemetry switches, so a
   worker records what the launch asks for, not what it was forked with;
+* **zero-copy transport** -- beside its pool the runtime keeps one
+  shared-memory :class:`~repro.runtime.arena.Arena`: a pooled chunk's
+  input and output cross in its arena slot, never through a pipe, and
+  the arena goes with the pool;
 * **warm caches** -- the runtime's :class:`CalibrationCache` makes
   :func:`~repro.microbench.calibrate.calibrate` a once-per-device cost
   and its :class:`DispatchCache` memoizes approach rankings.
@@ -61,7 +66,7 @@ from ..observe.tracer import current_tracer, tracing
 from ..resilience.checkpoint import CheckpointStore, batch_fingerprint
 from ..resilience.faults import resolve_faults
 from ..resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
-from ..resilience.quarantine import quarantine_outcomes
+from ..resilience.quarantine import quarantine_chunk
 from ..resilience.supervisor import (
     ChunkFailedError,
     WorkerPool,
@@ -69,8 +74,9 @@ from ..resilience.supervisor import (
     supervise_pool,
     supervise_serial,
 )
+from .arena import Arena, Slot, Slots, attach, unlink_attached
 from .cache import CalibrationCache, DispatchCache, cache_dir
-from .merge import BatchReport, ChunkOutcome, merge_outcomes
+from .merge import BatchReport, ChunkOutcome, LaunchResults, merge_outcomes
 from .sharding import DEFAULT_CHUNK_COST, ProblemBatch, plan_chunks
 
 __all__ = ["BatchRuntime", "default_workers", "run_batched", "supported_ops"]
@@ -166,6 +172,11 @@ def _execute_chunk(
     and ships the tracer's :class:`~repro.observe.tracer.ClockOrigin`
     back so the launch process can align the timelines at ingest.
 
+    ``data`` is the chunk's input, or -- on the pool path -- the
+    :class:`~repro.runtime.arena.Slot` holding it: the kernel then
+    factors a view of the slot and the output is written back over it,
+    and the outcome ships without one.
+
     ``chunk_index``/``attempt`` identify this execution to the optional
     :class:`~repro.resilience.faults.FaultPlan`, which fires its seeded
     crash/hang/corrupt injectors here -- in the worker, where the real
@@ -180,6 +191,9 @@ def _execute_chunk(
         raise ValueError(f"unknown batched op {op!r}; supported: {supported_ops()}")
     if faults is not None:
         faults.apply_pre(chunk_index, attempt, nchunks)
+    slot = None
+    if isinstance(data, Slot):
+        data = slot = attach(data)
     scope = traced if isinstance(traced, str) else None
     with switches.applied():
         local_metrics = previous_metrics = None
@@ -236,6 +250,10 @@ def _execute_chunk(
         # Corruption is injected *after* the checksum, simulating a
         # payload mangled in transit; the supervisor must catch it.
         output = faults.apply_corrupt(chunk_index, attempt, nchunks, output)
+    if slot is not None:
+        # The kernels copy their input first, so the output may overwrite it.
+        slot[...] = output
+        output = None
     return ChunkOutcome(
         output=output,
         extra=result.extra,
@@ -314,13 +332,21 @@ def _degrade(exc: Exception, scope: Optional[str]) -> None:
     )
 
 
+def _release(pool: WorkerPool, arena: Arena) -> None:
+    """Shut ``pool`` down and unlink ``arena``: what a runtime holds."""
+    pool.close()
+    arena.close()
+
+
 class BatchRuntime:
     """Sharded executor with persistent calibration/dispatch caches.
 
     The runtime keeps one process pool for its whole life: the first
     launch with more than one chunk starts it, every later launch runs
     on it, and :meth:`close` -- or leaving a ``with BatchRuntime(...)``
-    block, or dropping the runtime -- shuts it down.
+    block, or dropping the runtime -- shuts it down.  The pool's
+    shared-memory arena lives as long: made at the first pooled launch,
+    grown when a launch needs more, unlinked by the same three exits.
 
     Parameters
     ----------
@@ -413,18 +439,19 @@ class BatchRuntime:
             checkpoint, cache_directory, self.faults
         )
         self._params = params
-        self._pool = WorkerPool(self.workers, start_method)
-        # Shuts the pool down when the runtime is dropped or the
-        # interpreter exits; ``close`` does it on demand.
-        weakref.finalize(self, self._pool.close)
+        self._pool = WorkerPool(self.workers, start_method, orphaned=unlink_attached)
+        self._arena = Arena()
+        # Shuts the pool down and unlinks the arena when the runtime is
+        # dropped or the interpreter exits; ``close`` does it on demand.
+        weakref.finalize(self, _release, self._pool, self._arena)
 
     def close(self) -> None:
-        """Shut down the worker pool and wait for its workers.
+        """Shut down the worker pool, wait for its workers, unlink the arena.
 
         Idempotent.  A closed runtime stays usable: its next pooled
-        launch starts a fresh pool.
+        launch starts a fresh pool and a fresh arena.
         """
-        self._pool.close()
+        _release(self._pool, self._arena)
 
     def __enter__(self) -> "BatchRuntime":
         return self
@@ -527,6 +554,7 @@ class BatchRuntime:
         traced = tracer is not None
         emitter = None
         if traced and _profile.profiling_enabled():
+            mark = tracer.appended
             emitter = _profile.ProfileEmitter(tracer, f"batch:{next(_BATCH_SEQ)}")
         batch_start = emitter.now() if emitter is not None else 0.0
         chunks = plan_chunks(batch, self.chunk_cost)
@@ -565,8 +593,8 @@ class BatchRuntime:
             workers=self.workers,
         )
 
+        fingerprint = None
         resumed: dict[int, ChunkOutcome] = {}
-        record = None
         if self.checkpoint is not None:
             fingerprint = batch_fingerprint(batch, self.chunk_cost, kwargs)
             resumed = {
@@ -575,7 +603,20 @@ class BatchRuntime:
                 if index < len(chunks)
             }
 
-            def record(index: int, outcome: ChunkOutcome) -> None:
+        results = LaunchResults(batch)
+        landed: dict[int, ChunkOutcome] = {}
+        failures: list = []
+
+        def land(index: int, outcome: ChunkOutcome, journal: bool = True) -> None:
+            """Put a verified outcome in the result: copy, journal, scan."""
+            chunk = chunks[index]
+            outcome.output, outcome.extra = results.land(
+                chunk, outcome.output, outcome.extra
+            )
+            landed[index] = outcome
+            if journal and fingerprint is not None:
+                # Journaled before the scan masks it: a resume re-scans
+                # the raw output and finds the same reasons.
                 self.checkpoint.record(fingerprint, index, outcome)
                 emit(
                     "checkpoint.record",
@@ -584,7 +625,11 @@ class BatchRuntime:
                     parent_id=scope,
                     chunk=index,
                 )
+            op = batch.groups[chunk.group].op
+            failures.extend(quarantine_chunk(op, chunk, outcome.output, outcome.extra))
 
+        for index, outcome in resumed.items():
+            land(index, outcome, journal=False)
         entries = [
             (index, payloads[index])
             for index in range(len(chunks))
@@ -593,17 +638,13 @@ class BatchRuntime:
 
         execute_start = emitter.now() if emitter is not None else 0.0
         start = time.perf_counter()
-        by_index: Optional[dict[int, ChunkOutcome]] = None
         mode = "serial"
         if not entries:
-            by_index = {}
             mode = "resumed"
         else:
             if self.workers > 1 and len(entries) > 1:
                 try:
-                    by_index = self._run_pool(
-                        entries, record, nchunks=len(chunks), profile=emitter
-                    )
+                    self._run_pool(entries, land, nchunks=len(chunks), profile=emitter)
                     mode = "process"
                 except ChunkFailedError:
                     # Retries and the inline rescue are already spent;
@@ -613,29 +654,19 @@ class BatchRuntime:
                 except Exception as exc:
                     _degrade(exc, scope)
                     mode = "serial-fallback"
-            if by_index is None:
-                if record is not None and mode == "serial-fallback":
-                    # The failed pool pass may have journaled chunks.
-                    more = {
-                        index: outcome
-                        for index, outcome in self.checkpoint.resume(
-                            fingerprint
-                        ).items()
-                        if index < len(chunks)
-                    }
-                    resumed.update(more)
-                    entries = [e for e in entries if e[0] not in resumed]
-                by_index, _ = supervise_serial(
-                    entries,
+            if mode != "process":
+                # Chunks a failed pool pass already landed stay landed.
+                supervise_serial(
+                    [entry for entry in entries if entry[0] not in landed],
                     execute=_execute_chunk,
                     policy=self.retry_policy,
                     faults=self.faults,
                     nchunks=len(chunks),
-                    on_complete=record,
+                    on_complete=land,
                     profile=emitter,
                 )
-        by_index.update(resumed)
-        outcomes = [by_index[index] for index in range(len(chunks))]
+        outcomes = [landed[index] for index in range(len(chunks))]
+        failures.sort(key=lambda f: (f.group, f.index))
         if emitter is not None:
             emitter.emit(
                 "execute",
@@ -646,11 +677,10 @@ class BatchRuntime:
                 mode=mode,
             )
         merge_start = emitter.now() if emitter is not None else 0.0
-        failures = quarantine_outcomes(batch, chunks, outcomes)
         wall_s = time.perf_counter() - start
         if self.checkpoint is not None:
-            # The merge below is pure; once every outcome is in hand the
-            # journal has served its purpose.
+            # Every outcome is in hand and in the result; the journal has
+            # served its purpose.
             self.checkpoint.clear()
 
         if traced:
@@ -701,7 +731,13 @@ class BatchRuntime:
         )
 
         report = merge_outcomes(
-            batch, chunks, outcomes, workers=self.workers, mode=mode, wall_s=wall_s
+            batch,
+            chunks,
+            outcomes,
+            workers=self.workers,
+            mode=mode,
+            wall_s=wall_s,
+            results=results,
         )
         if emitter is not None:
             merge_end = emitter.now()
@@ -724,7 +760,8 @@ class BatchRuntime:
                 workers=self.workers,
                 mode=mode,
             )
-            roots = _profile.build_span_trees(tracer.events, scope=scope)
+            # Only this launch's events can hold its spans.
+            roots = _profile.build_span_trees(tracer.since(mark), scope=scope)
             batch_root = next((r for r in roots if r.name == "batch"), None)
             if batch_root is not None:
                 report.profile = _profile.compute_profile(batch_root)
@@ -889,7 +926,13 @@ class BatchRuntime:
         nchunks: Optional[int] = None,
         profile=None,
     ) -> dict[int, ChunkOutcome]:
-        """Supervised execution of ``(index, payload)`` entries on the pool."""
+        """Supervised execution of ``(index, payload)`` entries on the pool.
+
+        Each entry gets a slot in the runtime's arena (made or grown
+        first: an ``OSError`` here means no shared memory, and the
+        caller degrades).  ``record`` must copy each outcome's output out
+        of its slot, which the next launch reuses.
+        """
         if nchunks is None:
             nchunks = max(index for index, _ in entries) + 1
         outcomes, _ = supervise_pool(
@@ -901,6 +944,7 @@ class BatchRuntime:
             nchunks=nchunks,
             on_complete=record,
             profile=profile,
+            slots=Slots(self._arena, entries),
         )
         return outcomes
 

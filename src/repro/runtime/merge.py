@@ -1,11 +1,12 @@
 """Deterministic merge of per-chunk results into one launch report.
 
 Workers return :class:`ChunkOutcome` records in whatever order they
-finish; the merge consumes them **in submission (chunk-index) order**
-regardless, so every derived artifact -- concatenated outputs, folded
-counter registries, replayed trace events -- is identical whether the
-plan ran serially, on 2 workers, or on 4.  Counter folding is plain
-addition in that fixed order (see
+finish.  Each chunk's output lands in its rows of its group's result
+(:class:`LaunchResults`) as it completes, so the result does not depend
+on the order; everything else -- folded counter registries, replayed
+trace events -- is consumed **in submission (chunk-index) order**, so
+it is identical whether the plan ran serially, on 2 workers, or on 4.
+Counter folding is plain addition in that fixed order (see
 :meth:`repro.observe.counters.CounterRegistry.merge`), which makes the
 merged totals *exactly* equal to the serial path's, not just close.
 """
@@ -24,14 +25,22 @@ from ..observe.metrics import MetricsRegistry
 from ..observe.tracer import Event
 from .sharding import Chunk, ProblemBatch
 
-__all__ = ["BatchReport", "ChunkOutcome", "GroupResult", "merge_outcomes"]
+__all__ = [
+    "BatchReport",
+    "ChunkOutcome",
+    "GroupResult",
+    "LaunchResults",
+    "merge_outcomes",
+]
 
 
 @dataclasses.dataclass
 class ChunkOutcome:
     """Everything one chunk execution ships back to the launch process."""
 
-    output: np.ndarray
+    #: The chunk's rows of the kernel output; ``None`` as a pooled chunk
+    #: crosses back (its output is in its arena slot).
+    output: Optional[np.ndarray]
     extra: Optional[np.ndarray]
     launch: LaunchResult
     wall_s: float
@@ -50,8 +59,9 @@ class ChunkOutcome:
     #: (0 for inline execution); measured by the executor.
     queue_wait_s: float = 0.0
     #: Content hash of ``output``/``extra`` computed worker-side before
-    #: the outcome crossed the process boundary; the supervisor verifies
-    #: it to catch transport corruption (``None`` skips the check).
+    #: the output left the kernel; the supervisor verifies it where the
+    #: output arrives (a pooled chunk's arena slot) to catch transport
+    #: corruption (``None`` skips the check).
     checksum: Optional[str] = None
     #: The worker tracer's clock origin (``None`` when untraced) -- the
     #: handshake :meth:`repro.observe.tracer.Tracer.ingest` uses to
@@ -146,6 +156,55 @@ class BatchReport:
         }
 
 
+class LaunchResults:
+    """One launch's per-group result arrays, filled as its chunks land.
+
+    A group of one chunk takes that chunk's arrays as they are: the
+    kernel's own output, never copied, unless it is read-only (a pooled
+    chunk's arena slot, which the next launch reuses, or a journaled
+    array).  A group of several chunks gets one array (and one ``extra``
+    array) per launch, made when its first chunk lands; every landing
+    copies its chunk into its rows.
+    """
+
+    def __init__(self, batch: ProblemBatch) -> None:
+        self.batch = batch
+        self.outputs: list = [None] * len(batch.groups)
+        self.extras: list = [None] * len(batch.groups)
+        #: Groups with a chunk that returned no ``extra``: they have none.
+        self._no_extra: set[int] = set()
+
+    def land(
+        self, chunk: Chunk, output: np.ndarray, extra: Optional[np.ndarray]
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Place one chunk's arrays in its group's result; return its rows."""
+        group = chunk.group
+        if extra is None:
+            self._no_extra.add(group)
+        total = self.batch.groups[group].batch
+        if chunk.problems == total:
+            if not output.flags.writeable:  # kept, and masked in place
+                output = np.array(output, copy=True)
+            self.outputs[group], self.extras[group] = output, extra
+            return output, extra
+        rows = slice(chunk.start, chunk.stop)
+        self.outputs[group] = _fill(self.outputs[group], total, rows, output)
+        if extra is not None:
+            self.extras[group] = _fill(self.extras[group], total, rows, extra)
+            extra = self.extras[group][rows]
+        return self.outputs[group][rows], extra
+
+    def extra(self, group: int) -> Optional[np.ndarray]:
+        return None if group in self._no_extra else self.extras[group]
+
+
+def _fill(result, total: int, rows: slice, part: np.ndarray) -> np.ndarray:
+    if result is None:
+        result = np.empty((total,) + part.shape[1:], dtype=part.dtype)
+    result[rows] = part
+    return result
+
+
 def merge_outcomes(
     batch: ProblemBatch,
     chunks: Sequence[Chunk],
@@ -153,15 +212,21 @@ def merge_outcomes(
     workers: int,
     mode: str,
     wall_s: float,
+    results: Optional[LaunchResults] = None,
 ) -> BatchReport:
     """Fold per-chunk outcomes into a :class:`BatchReport`.
 
     ``chunks`` and ``outcomes`` are parallel sequences in submission
-    order; chunk slices of one group are contiguous and ordered, so a
-    plain concatenation restores the group's batch axis bit-for-bit.
+    order.  ``results`` holds the outputs the launch already landed
+    chunk by chunk; without it, each outcome's arrays land here, in
+    fresh result arrays.
     """
     if len(chunks) != len(outcomes):
         raise ValueError(f"{len(chunks)} chunks but {len(outcomes)} outcomes")
+    if results is None:
+        results = LaunchResults(batch)
+        for chunk, outcome in zip(chunks, outcomes):
+            results.land(chunk, outcome.output, outcome.extra)
     counters = CounterRegistry()
     per_group: dict[int, list[tuple[Chunk, ChunkOutcome]]] = {}
     for chunk, outcome in zip(chunks, outcomes):
@@ -169,7 +234,7 @@ def merge_outcomes(
             counters.merge(outcome.launch.counters)
         per_group.setdefault(chunk.group, []).append((chunk, outcome))
 
-    results: list[GroupResult] = []
+    groups: list[GroupResult] = []
     for gi, group in enumerate(batch.groups):
         members = per_group.get(gi, [])
         if not members:
@@ -177,31 +242,21 @@ def merge_outcomes(
         covered = sum(c.problems for c, _ in members)
         if covered != group.batch:
             raise ValueError(f"group {gi} covered {covered}/{group.batch} problems")
-        outputs = [o.output for _, o in members]
-        extras = [o.extra for _, o in members]
-        results.append(
+        groups.append(
             GroupResult(
                 op=group.op,
-                output=outputs[0] if len(outputs) == 1 else np.concatenate(outputs),
-                extra=_merge_extras(extras),
+                output=results.outputs[gi],
+                extra=results.extra(gi),
                 launch=members[0][1].launch,
                 problems=group.batch,
                 chunks=len(members),
             )
         )
     return BatchReport(
-        results=results,
+        results=groups,
         counters=counters,
         chunks=len(chunks),
         workers=workers,
         mode=mode,
         wall_s=wall_s,
     )
-
-
-def _merge_extras(extras: list[Optional[np.ndarray]]) -> Optional[np.ndarray]:
-    if any(e is None for e in extras):
-        return None
-    if len(extras) == 1:
-        return extras[0]
-    return np.concatenate(extras)

@@ -1,8 +1,11 @@
 """Tracer core: span nesting, activation, ring buffer, no-op helpers."""
 
+import dataclasses
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observe import (
     Tracer,
@@ -13,6 +16,7 @@ from repro.observe import (
     span,
     tracing,
 )
+from repro.observe.tracer import Event
 
 
 class TestActivation:
@@ -207,6 +211,89 @@ class TestIngest:
         dst.ingest(src.events)
         (ev,) = dst.events
         assert ev.args is None or "shard" not in ev.args
+
+
+def _ingest_per_event(tracer, events, dropped=0, clock=None, **tags):
+    """Ingest as one stamp and one emit per event: what the bulk
+    :meth:`Tracer.ingest` must leave behind."""
+    tracer.dropped += int(dropped)
+    base = clock.offset_from(tracer.origin) if clock is not None else tracer._ts
+    for ev in events:
+        args = dict(ev.args) if ev.args else {}
+        if tags:
+            args.update(tags)
+        ts = base + ev.ts
+        tracer._stamp(ts, ev.dur)
+        tracer._emit(Event(ev.name, ev.category, ev.ph, ts, ev.dur, args or None))
+    return len(events)
+
+
+_times = st.floats(min_value=-1e3, max_value=1e6, allow_nan=False)
+_events = st.lists(
+    st.builds(
+        Event,
+        name=st.sampled_from(["attempt", "sync", "charge"]),
+        category=st.sampled_from(["profile", "engine"]),
+        ph=st.sampled_from(["X", "i", "C"]),
+        ts=_times,
+        dur=st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+        args=st.one_of(
+            st.none(),
+            st.just({}),
+            st.dictionaries(st.sampled_from(["depth", "shard"]), st.integers()),
+        ),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=10),
+    prefill=st.integers(min_value=0, max_value=12),
+    batches=st.lists(
+        st.tuples(
+            _events,
+            st.integers(min_value=0, max_value=3),
+            st.one_of(st.none(), _times),
+            st.dictionaries(st.sampled_from(["shard", "worker"]), st.integers()),
+        ),
+        max_size=3,
+    ),
+)
+def test_bulk_ingest_equals_per_event_ingest(capacity, prefill, batches):
+    bulk, reference = Tracer(capacity), Tracer(capacity)
+    reference.origin = bulk.origin
+    for tracer in (bulk, reference):
+        for k in range(prefill):
+            tracer.instant(f"local{k}", "runtime")
+    for events, dropped, lead, tags in batches:
+        clock = None
+        if lead is not None:  # a worker origin ``lead`` seconds ahead
+            clock = dataclasses.replace(bulk.origin, perf=bulk.origin.perf + lead)
+        count = bulk.ingest(events, dropped=dropped, clock=clock, **tags)
+        assert count == _ingest_per_event(
+            reference, events, dropped=dropped, clock=clock, **tags
+        )
+        assert list(bulk.events) == list(reference.events)
+        assert bulk._ts == reference._ts
+        assert bulk.dropped == reference.dropped
+        assert bulk.appended == reference.appended
+
+
+class TestLaunchWindow:
+    def test_since_reads_the_events_after_the_mark(self):
+        tracer = Tracer(capacity=4)
+        tracer.instant("old", "test")
+        mark = tracer.appended
+        assert tracer.since(mark) == []
+        for name in "abcdef":
+            tracer.instant(name, "test")
+        # Six appended, four still buffered: the window is the buffer.
+        assert [e.name for e in tracer.since(mark)] == list("cdef")
+        mark = tracer.appended
+        tracer.ingest(list(tracer.events)[:2])
+        assert [e.name for e in tracer.since(mark)] == list("cd")
 
 
 class TestTimestamps:

@@ -206,13 +206,15 @@ class TestDegradation:
     def test_worker_failure_degrades_to_serial_with_warning(
         self, tmp_path, monkeypatch
     ):
-        def broken_pool(self, entries, record=None, nchunks=None):
+        def broken_pool(self, entries, record=None, nchunks=None, profile=None):
             raise OSError("simulated pool failure")
 
         monkeypatch.setattr(BatchRuntime, "_run_pool", broken_pool)
         matrices = diagonally_dominant_batch(20, 10, seed=9)
         runtime = _runtime(tmp_path, workers=4, chunk_cost=lu_flops(10) * 5)
-        with pytest.warns(RuntimeWarning, match="degrading to serial"):
+        with pytest.warns(
+            RuntimeWarning, match="simulated pool failure.*degrading to serial"
+        ):
             report = runtime.run(ProblemBatch.single("lu", matrices))
         assert report.mode == "serial-fallback"
         assert np.array_equal(report.output, per_block_lu(matrices).output)

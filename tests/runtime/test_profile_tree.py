@@ -4,9 +4,11 @@ import pytest
 
 from repro.kernels.batched import diagonally_dominant_batch
 from repro.model.flops import lu_flops
+from repro.observe import profile as _profile
 from repro.observe import tracing
 from repro.observe.profile import (
     build_span_trees,
+    compute_profile,
     set_profiling_enabled,
 )
 from repro.runtime import BatchRuntime, ProblemBatch
@@ -133,3 +135,33 @@ class TestReportProfile:
             set_profiling_enabled(previous)
         assert report.profile is None
         assert not [e for e in tracer.events if e.category == "profile"]
+
+
+class TestLaunchWindow:
+    def test_tree_reads_only_its_launch_events(self, tmp_path, monkeypatch):
+        """Under one long-lived tracer, each launch's profile tree reads
+        that launch's events, not the whole ring buffer, and equals the
+        tree the whole buffer gives."""
+        examined, built = [], []
+
+        def counting(events, scope=None):
+            events = list(events)
+            examined.append(len(events))
+            built.append(build_span_trees(events, scope=scope))
+            return built[-1]
+
+        monkeypatch.setattr(_profile, "build_span_trees", counting)
+        matrices = diagonally_dominant_batch(24, 12, seed=10)
+        runtime = _runtime(tmp_path, workers=1, chunk_cost=lu_flops(12) * 7)
+        runtime.parameters()
+        with tracing() as tracer:
+            for _ in range(6):
+                report = runtime.run(ProblemBatch.single("lu", matrices))
+                whole = build_span_trees(tracer.events, scope=report.profile.scope)
+                assert built[-1] == whole
+                root = next(r for r in whole if r.name == "batch")
+                assert report.profile == compute_profile(root)
+        # Every launch reads the same number of events, a sixth of the
+        # buffer by the last one.
+        assert len(set(examined)) == 1
+        assert examined[-1] * 5 < len(tracer.events)
