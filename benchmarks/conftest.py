@@ -13,10 +13,10 @@ repo's accumulating ``BENCH_*.json`` perf trajectory::
     pytest benchmarks/bench_fig9_per_block.py --benchmark-only \
         --json BENCH_fig9.json
 
-With ``--json`` the session also snapshots the process-global fleet
-metrics registry (``<stem>.metrics.json`` + ``.prom`` next to the JSON
-file) so cache hit rates and runtime histograms from the benchmark run
-are inspectable with ``python -m repro.observe.report --metrics ...``.
+With ``--json`` the session also writes the process-global fleet
+metrics registry (``<stem>.metrics.prom`` next to the JSON file) so
+cache hit rates and runtime histograms from the benchmark run are
+inspectable with ``python -m repro.observe.report --metrics ...``.
 """
 
 from pathlib import Path
@@ -51,17 +51,12 @@ def pytest_sessionfinish(session, exitstatus):
     json_path = session.config.getoption("--json", default=None)
     if not json_path:
         return
-    from repro.observe.metrics import (
-        default_registry,
-        write_metrics_snapshot,
-        write_prometheus,
-    )
+    from repro.observe.metrics import default_registry, write_prometheus
 
     registry = default_registry()
     if len(registry) == 0:
         return
     base = Path(json_path)
-    write_metrics_snapshot(registry, base.parent / (base.stem + ".metrics.json"))
     write_prometheus(registry, base.parent / (base.stem + ".metrics.prom"))
 
 

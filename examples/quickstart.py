@@ -173,11 +173,7 @@ def _walkthrough() -> None:
     # sharded runtime) has been writing labeled metrics into the process
     # registry, and each runtime launch appended a history record with
     # its regime classification.  Snapshot both for the dashboard CLI.
-    from repro.observe import (
-        default_registry,
-        write_metrics_snapshot,
-        write_prometheus,
-    )
+    from repro.observe import default_registry, write_prometheus
 
     if report.regimes:
         print("\nRegime classification (dominant Eq. 1/Eq. 2 term shares):")
@@ -202,10 +198,9 @@ def _walkthrough() -> None:
         print("\nCache traffic this run:")
         print(format_table(["cache", "hits", "requests", "hit rate"], rows))
 
-    snapshot = write_metrics_snapshot(registry)
-    write_prometheus(registry)
+    snapshot = write_prometheus(registry)
     history = sharded_runtime.history
-    print(f"\nMetrics snapshot: {snapshot} (+ .prom sibling)")
+    print(f"\nMetrics snapshot: {snapshot}")
     if history is not None:
         print(f"Run history:      {history.path} ({len(history)} records)")
     from repro.observe import log as obslog

@@ -35,8 +35,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments import load_spec, run_spec  # noqa: E402
+from repro.observe.export import jsonable  # noqa: E402
 from repro.reporting import list_experiments, run_experiment  # noqa: E402
-from repro.reporting.export import _jsonable  # noqa: E402
 
 SPECS_DIR = REPO / "benchmarks" / "specs"
 BASELINES_DIR = REPO / "benchmarks" / "baselines"
@@ -86,7 +86,7 @@ def regen(spec_path: Path, out: Path, workers: int | None) -> None:
 
 
 def regen_artefacts() -> None:
-    data = {eid: _jsonable(run_experiment(eid).data) for eid in list_experiments()}
+    data = {eid: jsonable(run_experiment(eid).data) for eid in list_experiments()}
     ARTEFACTS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"{ARTEFACTS.relative_to(REPO)}: {len(data)} artefacts")
 

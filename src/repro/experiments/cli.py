@@ -9,7 +9,9 @@ Subcommands::
 ``run --dry-run`` is an alias for ``plan``.  ``--strict`` resolves the
 baseline from ``--baseline`` or the spec's ``[gates] baseline`` entry
 and fails (exit 1) on any direction-aware regression, any exact-match
-structural change, or any cell whose execution failed.
+structural change, or any cell whose execution failed.  ``run
+--cache-dir DIR`` also writes the sweep's metrics registry to
+``DIR/metrics.prom``, the file ``python -m repro.observe.alerts`` reads.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..observe.metrics import default_registry, write_prometheus
 from ..reporting.tables import format_table
 from .engine import run_spec
 from .gate import diff_artifacts, load_artifact
@@ -119,6 +122,10 @@ def _cmd_run(args) -> int:
     )
     print(_summary_text(result))
     print(f"matrix: {result.matrix_path}")
+    if args.cache_dir is not None:
+        # The sweep's metrics go beside its caches, for the alerts gate;
+        # without a cache dir the sweep leaves nothing outside --out.
+        write_prometheus(default_registry(), args.cache_dir / "metrics.prom")
     exit_code = 0
     if args.strict:
         tolerance = args.tolerance if args.tolerance is not None else spec.tolerance

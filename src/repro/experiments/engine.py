@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 from typing import Callable, List, Optional
 
-from ..observe.export import atomic_write_text
+from ..observe.export import append_record, atomic_write_text, read_records
 from ..observe.history import RunHistory
 from ..observe.events import emit
 from .gate import MATRIX_SCHEMA
@@ -93,36 +93,19 @@ def journal_path(out_dir: Path) -> Path:
 
 
 def _read_journal(path: Path, fingerprint: str) -> dict:
-    """id -> journaled line for the matching plan; corrupt tail tolerated.
+    """id -> journaled line for the matching plan; torn lines tolerated.
 
     A fingerprint mismatch (edited spec, different seed) discards the
     whole journal -- stale cells must never leak into a fresh plan.
     """
-    if not path.exists():
-        return {}
     restored: dict = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError:
-            break  # partial final line from a kill mid-write
+    for doc in read_records(path):
         if doc.get("fingerprint") != fingerprint:
             return {}
         record = doc.get("record")
         if isinstance(record, dict) and "id" in record:
             restored[record["id"]] = doc
     return restored
-
-
-def _append_journal(path: Path, doc: dict) -> None:
-    line = json.dumps(doc, sort_keys=True) + "\n"
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line)
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 def _restored_record(cell: Cell, doc: dict) -> CellRecord:
@@ -276,13 +259,14 @@ def run_spec(
                 continue
             record = run_cell(cell, ctx)
             records.append(record)
-            _append_journal(
+            append_record(
                 journal,
                 {
                     "fingerprint": fingerprint,
                     "record": record.to_dict(),
                     "wall_s": record.wall_s,
                 },
+                durable=True,
             )
             executed += 1
             emit(

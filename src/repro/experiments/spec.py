@@ -61,6 +61,7 @@ from typing import Mapping, Optional, Sequence, get_args
 from ..approaches.base import Kind
 from ..gpu.device import G80, GTX480, QUADRO_6000
 from ..kernels.device.registry import RUNTIME_KERNELS
+from ..observe.export import load_document, require_keys
 from ..resilience.faults import parse_faults
 
 __all__ = [
@@ -275,15 +276,6 @@ def _check_axis_value(axis: str, value):
     return value
 
 
-def _require_keys(mapping: Mapping, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise SpecError(
-            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
-
-
 def spec_from_dict(doc: Mapping, base_dir: Optional[Path] = None) -> ExperimentSpec:
     """Validate a plain dict (parsed TOML/JSON) into an :class:`ExperimentSpec`.
 
@@ -292,12 +284,12 @@ def spec_from_dict(doc: Mapping, base_dir: Optional[Path] = None) -> ExperimentS
     """
     if not isinstance(doc, Mapping):
         raise SpecError(f"spec must be a table/object, got {type(doc).__name__}")
-    _require_keys(doc, _TOP_LEVEL_KEYS, "spec")
+    require_keys(doc, _TOP_LEVEL_KEYS, "spec", SpecError)
 
     experiment = doc.get("experiment")
     if not isinstance(experiment, Mapping) or "name" not in experiment:
         raise SpecError("spec needs an [experiment] table with a name")
-    _require_keys(experiment, _EXPERIMENT_KEYS, "[experiment]")
+    require_keys(experiment, _EXPERIMENT_KEYS, "[experiment]", SpecError)
     name = experiment["name"]
     if not isinstance(name, str) or not name:
         raise SpecError("experiment.name must be a non-empty string")
@@ -328,7 +320,7 @@ def spec_from_dict(doc: Mapping, base_dir: Optional[Path] = None) -> ExperimentS
 
     raw_policy = dict(doc.get("policy") or {})
     raw_overrides = raw_policy.pop("override", [])
-    _require_keys(raw_policy, _POLICY_KEYS, "[policy]")
+    require_keys(raw_policy, _POLICY_KEYS, "[policy]", SpecError)
     policy = CellPolicy(**raw_policy)
     overrides = []
     if not isinstance(raw_overrides, Sequence) or isinstance(raw_overrides, str):
@@ -338,7 +330,7 @@ def spec_from_dict(doc: Mapping, base_dir: Optional[Path] = None) -> ExperimentS
         if not isinstance(entry, Mapping) or "match" not in entry:
             raise SpecError(f"{where}: needs a match table")
         changes = {k: v for k, v in entry.items() if k != "match"}
-        _require_keys(changes, _POLICY_KEYS, where)
+        require_keys(changes, _POLICY_KEYS, where, SpecError)
         if not changes:
             raise SpecError(f"{where}: overrides nothing")
         policy.replace(changes)  # validate values eagerly
@@ -354,7 +346,7 @@ def spec_from_dict(doc: Mapping, base_dir: Optional[Path] = None) -> ExperimentS
         where = f"include[{i}]"
         if not isinstance(entry, Mapping):
             raise SpecError(f"{where}: must be a table")
-        _require_keys(entry, set(AXES), where)
+        require_keys(entry, set(AXES), where, SpecError)
         point = {"fault_plan": "none", **entry}
         missing = [axis for axis in AXES if axis not in point]
         if missing:
@@ -364,7 +356,7 @@ def spec_from_dict(doc: Mapping, base_dir: Optional[Path] = None) -> ExperimentS
         )
 
     gates = doc.get("gates") or {}
-    _require_keys(gates, _GATES_KEYS, "[gates]")
+    require_keys(gates, _GATES_KEYS, "[gates]", SpecError)
     tolerance = float(gates.get("tolerance", 0.10))
     if not 0.0 <= tolerance < 1.0:
         raise SpecError("gates.tolerance must be in [0, 1)")
@@ -395,30 +387,7 @@ def load_spec(path: Path | str) -> ExperimentSpec:
     everywhere and carry the identical structure.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SpecError(f"cannot read spec {path}: {exc}") from exc
-    if path.suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError as exc:  # Python 3.10
-            raise SpecError(
-                f"{path}: TOML specs need Python 3.11+ (stdlib tomllib); "
-                "use the JSON form on older interpreters"
-            ) from exc
-        try:
-            doc = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"{path}: invalid TOML: {exc}") from exc
-    elif path.suffix == ".json":
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise SpecError(f"{path}: invalid JSON: {exc}") from exc
-    else:
-        raise SpecError(f"{path}: spec must be .toml or .json")
-    return spec_from_dict(doc, base_dir=path.parent)
+    return spec_from_dict(load_document(path, SpecError), base_dir=path.parent)
 
 
 def _cell_policy(spec: ExperimentSpec, point: Mapping) -> CellPolicy:

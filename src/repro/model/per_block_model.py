@@ -181,10 +181,13 @@ def predict_per_block(
     launch-shape rule (used by the Figure-7 layout comparison).
     """
     n = m if n is None else n
-    cfg = config or block_config(m, n, complex_dtype=complex_dtype)
-
     if kind not in ("qr", "lu", "gauss_jordan", "least_squares"):
         raise ValueError(f"unknown factorization kind: {kind!r}")
+    # Gauss-Jordan runs n steps on the augmented [A | b] launch, as its
+    # kernel and per_block_counts do; the factorizations run n - 1 steps.
+    gauss_jordan = kind == "gauss_jordan"
+    width = n + 1 if gauss_jordan else n
+    cfg = config or block_config(m, width, complex_dtype=complex_dtype)
     # Least squares = QR on [A|b] plus a triangular solve whose cost the
     # paper folds into the same column machinery.
     qr = kind in ("qr", "least_squares")
@@ -193,8 +196,8 @@ def predict_per_block(
     # A column's estimate depends on its N alone, so each N is priced once.
     priced: dict[int, tuple[OpEstimate, ...]] = {}
     columns = []
-    for j in range(n - 1):
-        if kind == "gauss_jordan":
+    for j in range(n if gauss_jordan else n - 1):
+        if gauss_jordan:
             n_tile = cfg.hreg  # rows never drop out in Gauss-Jordan
         else:
             n_tile = cfg.column_tile_rows(j)

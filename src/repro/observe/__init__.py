@@ -15,9 +15,10 @@ Three layers, all zero-dependency and off-by-default:
   residual table that makes the Figure-8 "overhead wedge" a first-class
   artifact.
 
-Exporters (:mod:`repro.observe.export`) write Chrome ``trace_event``
-JSON (chrome://tracing, Perfetto) and flat metrics records for the
-benchmark trajectory.
+The file layer (:mod:`repro.observe.export`) writes and reads the
+system's JSONL records, atomic documents and spec files, and exports
+Chrome ``trace_event`` JSON (chrome://tracing, Perfetto) and flat
+metrics records for the benchmark trajectory.
 
 On top of the per-launch layers sits the fleet telemetry added in PR 3:
 
@@ -68,107 +69,12 @@ from .tracer import (
     tracing,
 )
 
-__all__ = [
-    "ClockOrigin",
-    "CounterRegistry",
-    "CounterStat",
-    "DEFAULT_CAPACITY",
-    "Event",
-    "Span",
-    "TraceTape",
-    "Tracer",
-    "add_counter",
-    "current_tracer",
-    "instant",
-    "record_tape",
-    "set_tracer",
-    "span",
-    "tracing",
-    # lazily loaded (see __getattr__): attribution + exporters
-    "TermAttribution",
-    "AttributionReport",
-    "attribute_launch",
-    "format_attribution",
-    "atomic_write_text",
-    "chrome_trace",
-    "write_chrome_trace",
-    "metrics_record",
-    "read_metrics",
-    "write_metrics",
-    # lazily loaded: fleet metrics / regimes / history
-    "DEFAULT_BUCKETS",
-    "HistogramValue",
-    "MetricsRegistry",
-    "counter_inc",
-    "default_registry",
-    "default_snapshot_path",
-    "gauge_set",
-    "histogram_observe",
-    "load_metrics_snapshot",
-    "metrics_enabled",
-    "parse_prometheus_text",
-    "prometheus_text",
-    "set_default_registry",
-    "set_metrics_enabled",
-    "write_metrics_snapshot",
-    "write_prometheus",
-    "REGIMES",
-    "RegimeClassification",
-    "classify_regime",
-    "record_regime",
-    "HISTORY_SCHEMA",
-    "RunHistory",
-    "default_history_path",
-    "gauge_direction",
-    "record_gauges",
-    "run_record",
-    # lazily loaded: critical-path profiler + timeline/flamegraph export
-    "PHASES",
-    "PROFILE_CATEGORY",
-    "BatchProfile",
-    "CriticalStep",
-    "ProfileEmitter",
-    "SpanNode",
-    "build_span_trees",
-    "collapsed_stacks",
-    "compute_profile",
-    "critical_path",
-    "flow_events",
-    "profiling_enabled",
-    "set_profiling_enabled",
-    "emit",
-    # lazily loaded: structured logging + SLO/alert engine
-    "LOG_SCHEMA",
-    "StructuredLogger",
-    "current_span",
-    "default_log_path",
-    "default_logger",
-    "env_switch",
-    "log_enabled",
-    "read_log",
-    "set_default_logger",
-    "set_log_enabled",
-    "span_context",
-    "ALERTS_SCHEMA",
-    "AlertEvent",
-    "AlertPlan",
-    "AlertRule",
-    "AlertSpecError",
-    "Evaluation",
-    "RuleResult",
-    "alert_spec_from_dict",
-    "compile_plan",
-    "default_state_path",
-    "evaluate",
-    "load_alert_spec",
-    "load_alert_state",
-    "write_alert_state",
-]
-
-#: Attribution pulls in the model layer and exporters pull in json/numpy;
-#: both are loaded on first access so that importing the engine (which
-#: imports this package for the tracer hooks) stays cycle-free and cheap.
+#: Attribution pulls in the model layer and the alert engine the table
+#: renderer; these submodules load on first access so that importing the
+#: engine (which imports this package for the tracer hooks) stays
+#: cycle-free and cheap.
 _LAZY = {
+    # attribution + exporters
     "TermAttribution": "attribution",
     "AttributionReport": "attribution",
     "attribute_launch": "attribution",
@@ -179,6 +85,7 @@ _LAZY = {
     "metrics_record": "export",
     "read_metrics": "export",
     "write_metrics": "export",
+    # fleet metrics / regimes / history
     "DEFAULT_BUCKETS": "metrics",
     "HistogramValue": "metrics",
     "MetricsRegistry": "metrics",
@@ -193,7 +100,6 @@ _LAZY = {
     "prometheus_text": "metrics",
     "set_default_registry": "metrics",
     "set_metrics_enabled": "metrics",
-    "write_metrics_snapshot": "metrics",
     "write_prometheus": "metrics",
     "REGIMES": "regime",
     "RegimeClassification": "regime",
@@ -205,6 +111,7 @@ _LAZY = {
     "gauge_direction": "history",
     "record_gauges": "history",
     "run_record": "history",
+    # critical-path profiler + timeline/flamegraph export
     "PHASES": "profile",
     "PROFILE_CATEGORY": "profile",
     "BatchProfile": "profile",
@@ -219,6 +126,7 @@ _LAZY = {
     "profiling_enabled": "profile",
     "set_profiling_enabled": "profile",
     "emit": "events",
+    # structured logging + SLO/alert engine
     "LOG_SCHEMA": "log",
     "StructuredLogger": "log",
     "current_span": "log",
@@ -245,6 +153,26 @@ _LAZY = {
     "load_alert_state": "alerts",
     "write_alert_state": "alerts",
 }
+
+
+__all__ = [
+    "ClockOrigin",
+    "CounterRegistry",
+    "CounterStat",
+    "DEFAULT_CAPACITY",
+    "Event",
+    "Span",
+    "TraceTape",
+    "Tracer",
+    "add_counter",
+    "current_tracer",
+    "instant",
+    "record_tape",
+    "set_tracer",
+    "span",
+    "tracing",
+    *_LAZY,  # loaded on first access, see __getattr__
+]
 
 
 def __getattr__(name: str):

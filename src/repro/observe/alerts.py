@@ -72,6 +72,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..reporting.tables import format_table
 from .events import emit
+from .export import atomic_write_text, load_document, require_keys
 from .history import RunHistory, default_history_path, gauge_direction, record_gauges
 from .metrics import (
     MetricsRegistry,
@@ -129,15 +130,6 @@ _KIND_KEYS = {
 
 class AlertSpecError(ValueError):
     """A rule spec that fails validation (unknown kind, bad bound, ...)."""
-
-
-def _require_keys(mapping: Mapping, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise AlertSpecError(
-            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
 
 
 def _number(value, where: str, minimum=None, maximum=None) -> float:
@@ -266,7 +258,7 @@ def _parse_rule(entry: Mapping, where: str) -> AlertRule:
             f"{where}: unknown severity {severity!r}; "
             f"one of {', '.join(SEVERITIES)}"
         )
-    _require_keys(entry, _COMMON_KEYS | _KIND_KEYS[kind], where)
+    require_keys(entry, _COMMON_KEYS | _KIND_KEYS[kind], where, AlertSpecError)
 
     if kind == "threshold":
         metric = entry.get("metric")
@@ -368,11 +360,11 @@ def alert_spec_from_dict(doc: Mapping) -> AlertSpec:
         raise AlertSpecError(
             f"spec must be a table/object, got {type(doc).__name__}"
         )
-    _require_keys(doc, _TOP_LEVEL_KEYS, "spec")
+    require_keys(doc, _TOP_LEVEL_KEYS, "spec", AlertSpecError)
     slo = doc.get("slo")
     if not isinstance(slo, Mapping) or "name" not in slo:
         raise AlertSpecError("spec needs an [slo] table with a name")
-    _require_keys(slo, _SLO_KEYS, "[slo]")
+    require_keys(slo, _SLO_KEYS, "[slo]", AlertSpecError)
     name = slo["name"]
     if not isinstance(name, str) or not name:
         raise AlertSpecError("slo.name must be a non-empty string")
@@ -396,31 +388,7 @@ def load_alert_spec(path: Path | str) -> AlertSpec:
     TOML needs Python 3.11+ (stdlib ``tomllib``); JSON specs work
     everywhere and carry the identical structure.
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise AlertSpecError(f"cannot read spec {path}: {exc}") from exc
-    if path.suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError as exc:  # Python 3.10
-            raise AlertSpecError(
-                f"{path}: TOML specs need Python 3.11+ (stdlib tomllib); "
-                "use the JSON form on older interpreters"
-            ) from exc
-        try:
-            doc = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise AlertSpecError(f"{path}: invalid TOML: {exc}") from exc
-    elif path.suffix == ".json":
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise AlertSpecError(f"{path}: invalid JSON: {exc}") from exc
-    else:
-        raise AlertSpecError(f"{path}: spec must be .toml or .json")
-    return alert_spec_from_dict(doc)
+    return alert_spec_from_dict(load_document(Path(path), AlertSpecError))
 
 
 def compile_plan(spec: AlertSpec) -> AlertPlan:
@@ -751,8 +719,6 @@ def load_alert_state(path: Path | str) -> Optional[dict]:
 
 def write_alert_state(path: Path | str, evaluation: Evaluation) -> Path:
     """Atomically persist an evaluation for the next run's transitions."""
-    from .export import atomic_write_text
-
     doc = {
         "schema": ALERTS_SCHEMA,
         "slo": evaluation.plan.spec.name,
@@ -779,10 +745,6 @@ def _previous_states(
 
 def _load_inputs(args):
     registry = load_metrics_snapshot(args.metrics or default_snapshot_path())
-    if registry is None and args.metrics is None:
-        registry = load_metrics_snapshot(
-            default_snapshot_path().with_suffix(".prom")
-        )
     history = RunHistory(args.history or default_history_path())
     return registry, history.load()
 
@@ -952,7 +914,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--metrics",
             type=Path,
             default=None,
-            help="metrics snapshot (default: <cache dir>/metrics.json)",
+            help="Prometheus metrics file (default: <cache dir>/metrics.prom)",
         )
         p.add_argument(
             "--history",

@@ -1,6 +1,20 @@
-"""Exporters: Chrome ``trace_event`` JSON and flat metrics dumps.
+"""The file layer: record files, atomic documents, spec files, exporters.
 
-Two consumers, two formats:
+One module owns how the system's files are written and read back:
+
+* :func:`append_record` / :func:`read_records` -- JSONL record files
+  (the run history, the structured event log, the sweep journal).  An
+  append is one ``write(2)`` on an ``O_APPEND`` descriptor, so
+  concurrent writers interleave whole lines; the reader skips blank and
+  torn lines, so every whole record reads back.
+* :func:`atomic_write_text` -- whole documents (text or bytes) via
+  write-temp-fsync-rename, so a reader sees the old file or the new
+  one, never a truncated one.
+* :func:`load_document` / :func:`require_keys` -- ``.toml``/``.json``
+  spec documents, failing in the caller's error class.
+* :func:`jsonable` -- the one clamp of a value to strict JSON.
+
+Two exporters write through it:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` -- the tracer's ring
   buffer as a Chrome ``trace_event`` document.  Open it at
@@ -19,33 +33,38 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from .tracer import Tracer
 
 __all__ = [
+    "append_record",
     "atomic_write_text",
     "chrome_trace",
-    "write_chrome_trace",
+    "jsonable",
+    "load_document",
     "metrics_record",
-    "write_metrics",
     "read_metrics",
+    "read_records",
+    "require_keys",
+    "write_chrome_trace",
+    "write_metrics",
 ]
 
 
-def atomic_write_text(path: Path | str, text: str) -> Path:
+def atomic_write_text(path: Path | str, text: str | bytes) -> Path:
     """Write ``text`` to ``path`` via write-temp-then-rename.
 
-    The payload is flushed and fsynced to a sibling temporary file which
-    is then :func:`os.replace`-d over the destination, so a reader (or a
-    killed CI job) only ever sees the old complete file or the new
-    complete file -- never a truncated one.
+    The payload (``str`` or ``bytes``) is flushed and fsynced to a
+    sibling temporary file which is then :func:`os.replace`-d over the
+    destination, so a reader (or a killed CI job) only ever sees the old
+    complete file or the new complete file -- never a truncated one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as handle:
+        with open(tmp, "wb" if isinstance(text, bytes) else "w") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
@@ -56,26 +75,121 @@ def atomic_write_text(path: Path | str, text: str) -> Path:
     return path
 
 
-def _jsonable(value: Any) -> Any:
-    """Coerce NumPy scalars/arrays into JSON-safe values.
+def append_record(path: Path, doc: dict, *, durable: bool) -> int:
+    """Append ``doc`` to ``path`` as one JSONL line; returns the new size.
 
-    Non-finite floats become ``None``: ``json.dumps`` would happily emit
-    ``NaN``/``Infinity``/``-Infinity``, which strict JSON parsers (and
-    the golden-file tests) reject.
+    The line goes out in one ``os.write`` on an ``O_APPEND`` descriptor,
+    so concurrent writers interleave whole lines.  ``durable`` fsyncs it
+    before returning (the run history and the sweep journal must survive
+    a crash; the event log need not).  The parent directory is made only
+    when the open finds it missing.
     """
+    line = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+    try:
+        fd = os.open(path, flags, 0o644)
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o644)
+    try:
+        if os.write(fd, line) != len(line):  # a full disk cuts a write short
+            raise OSError(f"short write of a record to {path}")
+        if durable:
+            os.fsync(fd)
+        return os.fstat(fd).st_size
+    finally:
+        os.close(fd)
+
+
+def read_records(path: Path | str) -> list[dict]:
+    """Every whole JSON-object line of ``path``, oldest first.
+
+    Blank lines, lines torn by a writer killed mid-record and lines that
+    are not JSON objects are skipped, so the records after a bad line
+    still read back; a missing file reads as empty.  Callers apply their
+    own schema or fingerprint filter.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError:
+        return []
+    records = []
+    for line in text.splitlines():
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(doc, dict):
+            records.append(doc)
+    return records
+
+
+def load_document(path: Path, error: type[Exception]) -> Any:
+    """The parsed ``.toml`` or ``.json`` spec document at ``path``.
+
+    An unreadable file, a parse error or another suffix raises
+    ``error``, the caller's spec-error class.  TOML needs Python 3.11+
+    (stdlib ``tomllib``); JSON specs work everywhere and carry the
+    identical structure.
+    """
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise error(f"cannot read spec {path}: {exc}") from exc
+    if path.suffix == ".toml":
+        try:
+            import tomllib
+        except ImportError as exc:  # Python 3.10
+            raise error(
+                f"{path}: TOML specs need Python 3.11+ (stdlib tomllib); "
+                "use the JSON form on older interpreters"
+            ) from exc
+        try:
+            return tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise error(f"{path}: invalid TOML: {exc}") from exc
+    if path.suffix == ".json":
+        try:
+            return json.loads(text)
+        except ValueError as exc:
+            raise error(f"{path}: invalid JSON: {exc}") from exc
+    raise error(f"{path}: spec must be .toml or .json")
+
+
+def require_keys(
+    mapping: Mapping, allowed: set, where: str, error: type[Exception]
+) -> None:
+    """Raise ``error`` naming any key of ``mapping`` outside ``allowed``."""
+    unknown = sorted(set(mapping) - allowed)
+    if unknown:
+        raise error(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+
+
+def jsonable(value: Any) -> Any:
+    """Clamp ``value`` to what strict JSON holds.
+
+    Dicts get string keys, tuples become lists, NumPy scalars and
+    arrays become Python values, and any other object becomes its
+    ``str``.  Non-finite floats become ``None``: ``json.dumps`` would
+    happily emit ``NaN``/``Infinity``/``-Infinity``, which strict JSON
+    parsers (and the golden-file tests) reject.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
     import numpy as np
 
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+    if isinstance(value, (np.generic, np.ndarray)):
+        return jsonable(value.tolist())
+    return str(value)
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +247,7 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
         if ev.ph == "i":
             entry["s"] = "t"  # instant scope: thread
         if ev.args:
-            entry["args"] = _jsonable(ev.args)
+            entry["args"] = jsonable(ev.args)
         events.append(entry)
     for tid in sorted(lanes):
         events.append(
@@ -154,7 +268,7 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
         "otherData": {
             "clock": "simulated cycles (1 trace us = 1 cycle/tick)",
             "dropped_events": tracer.dropped,
-            "counters": _jsonable(tracer.counters.as_dict()),
+            "counters": jsonable(tracer.counters.as_dict()),
         },
     }
 
@@ -184,10 +298,10 @@ def metrics_record(
     Passing the active tracer folds its counter totals in.
     """
     record: dict = {"name": str(name)}
-    record.update(_jsonable(meta))
-    record["metrics"] = _jsonable(metrics)
+    record.update(jsonable(meta))
+    record["metrics"] = jsonable(metrics)
     if tracer is not None:
-        record["counters"] = _jsonable(tracer.counters.as_dict())
+        record["counters"] = jsonable(tracer.counters.as_dict())
         record["dropped_events"] = tracer.dropped
     return record
 
@@ -212,7 +326,7 @@ def write_metrics(path: Path | str, record: dict) -> Path:
     """
     path = Path(path)
     records = read_metrics(path)
-    records.append(_jsonable(record))
+    records.append(jsonable(record))
     return atomic_write_text(
         path, json.dumps(records, indent=2, sort_keys=True) + "\n"
     )

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+
+from .export import append_record, atomic_write_text, jsonable, read_records
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
@@ -107,25 +108,13 @@ class RunHistory:
     def append(self, record: dict) -> Path:
         """Stamp and append ``record`` as one JSONL line; returns the path.
 
-        The line is written with a single ``os.write`` on an
-        ``O_APPEND`` descriptor and fsynced, so parallel writers cannot
-        interleave partial lines.
+        The line is one fsynced ``write(2)`` on an ``O_APPEND``
+        descriptor (:func:`~repro.observe.export.append_record`), so
+        parallel writers cannot interleave partial lines.
         """
-        from .export import _jsonable
-
         doc = {"schema": HISTORY_SCHEMA, "ts": time.time()}
-        doc.update(_jsonable(record))
-        line = json.dumps(doc, sort_keys=True) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            os.write(fd, line.encode("utf-8"))
-            os.fsync(fd)
-            size = os.fstat(fd).st_size
-        finally:
-            os.close(fd)
+        doc.update(jsonable(record))
+        size = append_record(self.path, doc, durable=True)
         if self.max_bytes is not None and size > self.max_bytes:
             keep = self.max_records
             if keep is None:
@@ -134,14 +123,15 @@ class RunHistory:
         return self.path
 
     def compact(self, max_records: Optional[int] = None) -> int:
-        """Rewrite the store keeping the newest ``max_records`` lines.
+        """Rewrite the store keeping the newest ``max_records`` records.
 
-        Valid lines are kept *verbatim* (schema stamp and all), so a
-        compacted store loads identically to one that was never larger;
-        torn/corrupt/foreign lines are dropped along the way.  The
-        rewrite is atomic (tmp file + fsync + ``os.replace``) and counted
-        in ``repro_history_compactions_total``.  Returns the number of
-        lines dropped; the store is untouched when nothing would be.
+        Kept records are written back as they were appended (schema stamp
+        and all), so a compacted store loads identically to one that was
+        never larger; torn/corrupt/foreign lines are dropped along the
+        way.  The rewrite is atomic (tmp file + fsync + ``os.replace``)
+        and counted in ``repro_history_compactions_total``.  Returns the
+        number of lines dropped; the store is untouched when nothing
+        would be.
 
         Rotation is a single-writer affair: a line appended by a
         concurrent process between the read and the replace would be
@@ -149,30 +139,21 @@ class RunHistory:
         """
         if max_records is None:
             max_records = self.max_records
+        if max_records is not None and max_records < 0:
+            raise ValueError("max_records must be non-negative")
         try:
             text = self.path.read_text()
         except OSError:
             return 0
-        lines = [line for line in text.splitlines() if line.strip()]
-        kept = []
-        for line in lines:
-            try:
-                doc = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(doc, dict) and doc.get("schema") == HISTORY_SCHEMA:
-                kept.append(line)
+        kept = self.load()
         if max_records is not None:
-            if max_records < 0:
-                raise ValueError("max_records must be non-negative")
-            kept = kept[max(0, len(kept) - max_records) :] if max_records else []
-        dropped = len(lines) - len(kept)
+            kept = kept[-max_records:] if max_records else []
+        dropped = sum(1 for line in text.splitlines() if line.strip()) - len(kept)
         if dropped <= 0:
             return 0
         from . import metrics as _metrics
-        from .export import atomic_write_text
 
-        body = "\n".join(kept) + "\n" if kept else ""
+        body = "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in kept)
         atomic_write_text(self.path, body)
         _metrics.counter_inc(
             "repro_history_compactions_total",
@@ -187,22 +168,11 @@ class RunHistory:
         than raised: a history file must survive version upgrades and
         interrupted writers.
         """
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return []
-        records = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(doc, dict) or doc.get("schema") != HISTORY_SCHEMA:
-                continue
-            records.append(doc)
+        records = [
+            doc
+            for doc in read_records(self.path)
+            if doc.get("schema") == HISTORY_SCHEMA
+        ]
         if limit is not None:
             records = records[-limit:]
         return records

@@ -17,7 +17,9 @@ carries the launch's sink to its worker, so the workers append to the
 same sink; lines are single ``os.write`` calls on an ``O_APPEND``
 descriptor, so concurrent writers interleave whole records and a killed
 process never leaves a torn line (the same contract as
-:class:`~repro.observe.history.RunHistory`).
+:class:`~repro.observe.history.RunHistory`, through the same
+:func:`~repro.observe.export.append_record`, minus the fsync: the log
+is telemetry, not a record a resume depends on).
 
 The correlation story: the PR 6 profiler stamps every batch launch with
 deterministic span ids (``batch:N``, ``batch:N/chunk:i``, ...).  The
@@ -29,8 +31,6 @@ a log line, and a flamegraph span all join on the same id.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import threading
 import time
@@ -38,6 +38,8 @@ from pathlib import Path
 from typing import Any, Iterator, List, Optional, Tuple
 
 from contextlib import contextmanager
+
+from .export import append_record, jsonable, read_records
 
 __all__ = [
     "LOG_SCHEMA",
@@ -102,21 +104,6 @@ def _env_sink() -> Optional[Path]:
     return default_log_path() if raw.lower() in _TRUTHY else Path(raw)
 
 
-def _jsonable(value: Any) -> Any:
-    """Clamp a field value to something ``json.dumps`` accepts."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
-
-
 class StructuredLogger:
     """Append-only JSONL sink of schema-stamped structured records."""
 
@@ -151,19 +138,11 @@ class StructuredLogger:
             "event": str(event),
             "span_id": span_id,
             "parent_id": parent_id,
-            "fields": _jsonable(fields),
+            "fields": jsonable(fields),
         }
-        line = json.dumps(record, sort_keys=True) + "\n"
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with self._lock:
-                fd = os.open(
-                    self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-                )
-                try:
-                    os.write(fd, line.encode("utf-8"))
-                finally:
-                    os.close(fd)
+                append_record(self.path, record, durable=False)
         except OSError:
             pass
 
@@ -178,23 +157,7 @@ def read_log(path: Path | str) -> List[dict]:
     :meth:`RunHistory.load`: a sink shared by concurrent writers must
     read back cleanly even after a mid-line kill.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return []
-    records = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(doc, dict) or doc.get("schema") != LOG_SCHEMA:
-            continue
-        records.append(doc)
-    return records
+    return [doc for doc in read_records(path) if doc.get("schema") == LOG_SCHEMA]
 
 
 # ----------------------------------------------------------------------

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import json
 import math
 import re
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple
 
+from .export import atomic_write_text
 from .log import env_switch
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "prometheus_text",
     "set_default_registry",
     "set_metrics_enabled",
-    "write_metrics_snapshot",
     "write_prometheus",
 ]
 
@@ -61,9 +60,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
     5.0, 10.0,
 )
-
-#: Schema stamp written into JSON snapshots.
-SNAPSHOT_SCHEMA = 1
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
@@ -361,51 +357,6 @@ class MetricsRegistry:
         series = sum(len(f.series) for f in self._families.values())
         return f"MetricsRegistry({len(self._families)} families, {series} series)"
 
-    # ------------------------------------------------------------------
-    # Snapshots (JSON)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """JSON-safe ``{family: {kind, help, series: [...]}}`` view."""
-        out: dict = {}
-        for name in sorted(self._families):
-            fam = self._families[name]
-            entry: dict = {"kind": fam.kind, "help": fam.help, "series": []}
-            if fam.kind == "histogram":
-                entry["buckets"] = list(fam.buckets)
-            for key in sorted(fam.series):
-                value = fam.series[key]
-                record: dict = {"labels": dict(key)}
-                if fam.kind == "histogram":
-                    record["counts"] = list(value.counts)
-                    record["sum"] = value.total
-                    record["count"] = value.count
-                else:
-                    record["value"] = value
-                entry["series"].append(record)
-            out[name] = entry
-        return out
-
-    @classmethod
-    def from_snapshot(cls, doc: dict) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output."""
-        registry = cls()
-        for name, entry in doc.items():
-            kind = entry.get("kind")
-            fam = registry._family(
-                name, kind, entry.get("help", ""), entry.get("buckets")
-            )
-            for record in entry.get("series", []):
-                key = _label_key(record.get("labels", {}))
-                if kind == "histogram":
-                    hist = HistogramValue.empty(fam.buckets)
-                    hist.counts = [int(c) for c in record["counts"]]
-                    hist.total = float(record["sum"])
-                    hist.count = int(record["count"])
-                    fam.series[key] = hist
-                else:
-                    fam.series[key] = float(record["value"])
-        return registry
-
 
 # ----------------------------------------------------------------------
 # Process-global default registry
@@ -568,12 +519,14 @@ def parse_prometheus_text(text: str) -> MetricsRegistry:
     # Histogram series accumulate across lines before reconstruction.
     hist: Dict[Tuple[str, LabelKey], dict] = {}
 
-    for raw in text.splitlines():
+    # Split on "\n" alone: help and label text may hold any other line
+    # break, and a help text's edge whitespace is part of it.
+    for raw in text.split("\n"):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("# HELP "):
-            name, _, help_text = line[len("# HELP "):].partition(" ")
+        if raw.startswith("# HELP "):
+            name, _, help_text = raw[len("# HELP "):].partition(" ")
             helps[name] = _unescape_label(help_text)
             continue
         if line.startswith("# TYPE "):
@@ -646,48 +599,24 @@ def parse_prometheus_text(text: str) -> MetricsRegistry:
 # Files
 # ----------------------------------------------------------------------
 def default_snapshot_path() -> Path:
-    """Where :func:`write_metrics_snapshot` lands without an explicit path."""
+    """``metrics.prom`` under the persistent cache root."""
     from ..runtime.cache import cache_dir
 
-    return cache_dir() / "metrics.json"
+    return cache_dir() / "metrics.prom"
 
 
 def write_prometheus(registry: MetricsRegistry, path=None) -> Path:
     """Write the Prometheus text exposition atomically; returns the path."""
-    from .export import atomic_write_text
-
-    if path is None:
-        path = default_snapshot_path().with_suffix(".prom")
+    path = path or default_snapshot_path()
     return atomic_write_text(path, prometheus_text(registry))
 
 
-def write_metrics_snapshot(registry: MetricsRegistry, path=None) -> Path:
-    """Write the JSON snapshot atomically; returns the path."""
-    from .export import atomic_write_text
-
-    if path is None:
-        path = default_snapshot_path()
-    doc = {"schema": SNAPSHOT_SCHEMA, "families": registry.snapshot()}
-    return atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def load_metrics_snapshot(path) -> Optional[MetricsRegistry]:
-    """Read a snapshot written by either exporter (``None`` on a miss).
+    """The registry a :func:`write_prometheus` file holds (``None`` on a miss).
 
-    ``.prom`` files go through :func:`parse_prometheus_text`; anything
-    else is treated as the JSON snapshot format.
+    A missing, unreadable or malformed file is a miss.
     """
-    path = Path(path)
     try:
-        text = path.read_text()
-    except OSError:
-        return None
-    try:
-        if path.suffix == ".prom":
-            return parse_prometheus_text(text)
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("schema") != SNAPSHOT_SCHEMA:
-            return None
-        return MetricsRegistry.from_snapshot(doc.get("families", {}))
-    except (ValueError, KeyError, TypeError):
+        return parse_prometheus_text(Path(path).read_text())
+    except (OSError, ValueError, OverflowError):  # int("+Inf") overflows
         return None

@@ -2,7 +2,7 @@
 
 ``python -m repro.observe.report`` renders, from the artifacts the
 instrumented runtime leaves behind (``history.jsonl`` plus the
-``metrics.json`` / ``metrics.prom`` snapshot under the cache root):
+``metrics.prom`` exposition under the cache root):
 
 * the most recent runs (problems, chunks, workers, mode, wall time,
   winning regime);
@@ -246,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--metrics",
         type=Path,
         default=None,
-        help="metrics snapshot (.json or .prom; default: <cache dir>/metrics.json)",
+        help="Prometheus metrics file (default: <cache dir>/metrics.prom)",
     )
     parser.add_argument(
         "--runs", type=int, default=10, help="recent runs to list (default 10)"
@@ -262,11 +262,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .alerts import default_state_path, load_alert_state
 
     history = RunHistory(args.history or default_history_path())
-    metrics_path = args.metrics or default_snapshot_path()
-    registry = load_metrics_snapshot(metrics_path)
-    if registry is None and args.metrics is None:
-        # Fall back to the Prometheus exposition next to the JSON snapshot.
-        registry = load_metrics_snapshot(metrics_path.with_suffix(".prom"))
+    registry = load_metrics_snapshot(args.metrics or default_snapshot_path())
     alerts = load_alert_state(args.alerts or default_state_path())
 
     print(render_report(history, registry, runs=args.runs, alerts=alerts), end="")

@@ -14,25 +14,10 @@ import json
 from pathlib import Path
 from typing import Sequence
 
+from ..observe.export import jsonable
 from .experiments import ExperimentResult
 
 __all__ = ["to_json", "to_csv", "export_experiment"]
-
-
-def _jsonable(value):
-    import numpy as np
-
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, float) and value != value:  # NaN
-        return None
-    return value
 
 
 def to_json(result: ExperimentResult, path: Path | str) -> Path:
@@ -41,7 +26,7 @@ def to_json(result: ExperimentResult, path: Path | str) -> Path:
     payload = {
         "experiment_id": result.experiment_id,
         "title": result.title,
-        "data": _jsonable(result.data),
+        "data": jsonable(result.data),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

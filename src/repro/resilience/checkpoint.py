@@ -36,6 +36,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .. import __version__
+from ..observe.export import atomic_write_text
 from ..observe.metrics import counter_inc
 
 __all__ = ["CHECKPOINT_SCHEMA", "CheckpointStore", "batch_fingerprint"]
@@ -102,23 +103,11 @@ class CheckpointStore:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         path = self.path_for(index)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            atomic_write_text(path, payload)
         except OSError:
             # A read-only journal directory degrades to no checkpointing.
             return path
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
         counter_inc("repro_cache_writes_total", cache="checkpoint")
         if self.faults is not None:
             self.faults.mangle_file(path, chunk=index)

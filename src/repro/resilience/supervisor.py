@@ -486,14 +486,26 @@ def supervise_pool(
                 payload = payloads[index]
                 if slots is not None:
                     payload = slots.load(index, payload)
-                future = executor.submit(
-                    execute,
-                    *payload,
-                    chunk_index=index,
-                    attempt=attempts[index],
-                    nchunks=nchunks,
-                    faults=faults,
-                )
+                try:
+                    future = executor.submit(
+                        execute,
+                        *payload,
+                        chunk_index=index,
+                        attempt=attempts[index],
+                        nchunks=nchunks,
+                        faults=faults,
+                    )
+                except BrokenProcessPool:
+                    # A worker died while chunks were going out.  This one
+                    # never ran: it goes back, its attempt unspent, for the
+                    # pool rebuilt once the dead worker's future fails
+                    # (rebuilt here when nothing else is in flight).
+                    ready.appendleft(index)
+                    if not inflight:
+                        pool.kill()
+                        generation += 1
+                        stats.note("rebuild", reason="broken-pool")
+                    break
                 submitted = time.perf_counter()
                 spans.submit(
                     index,

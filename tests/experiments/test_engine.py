@@ -1,5 +1,6 @@
 """Engine determinism, artifacts, history, and the CLI."""
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -119,10 +120,10 @@ class TestRunSpec:
         assert run_spec(spec, tmp_path / "ok", workers=2).ok
         assert set(multiprocessing.active_children()) == before
 
-        def broken_journal(path, entry):
+        def broken_journal(path, entry, *, durable):
             raise OSError("journal write failed")
 
-        monkeypatch.setattr(engine, "_append_journal", broken_journal)
+        monkeypatch.setattr(engine, "append_record", broken_journal)
         # The held traceback keeps the failed sweep's frame alive.
         with pytest.raises(OSError, match="journal write failed") as failure:
             run_spec(spec, tmp_path / "failed", workers=2)
@@ -269,6 +270,39 @@ class TestCli:
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_cache_dir_receives_the_metrics_the_alerts_gate_reads(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.observe.alerts import compile_plan, evaluate, load_alert_spec
+        from repro.observe.metrics import (
+            MetricsRegistry,
+            load_metrics_snapshot,
+            set_default_registry,
+        )
+
+        doc = small_doc()
+        doc["axes"].update(op=["lu"], size=[8], approach=["runtime"])
+        spec = tmp_path / "one.json"
+        spec.write_text(json.dumps(doc))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default-cache"))
+        previous = set_default_registry(MetricsRegistry())
+        try:
+            assert main(["run", str(spec), "--out", str(tmp_path / "a")]) == 0
+            assert not list(tmp_path.rglob("metrics.prom"))  # hermetic
+            cache = tmp_path / "cache"
+            argv = ["run", str(spec), "--out", str(tmp_path / "b")]
+            assert main([*argv, "--cache-dir", str(cache)]) == 0
+        finally:
+            set_default_registry(previous)
+        slo = load_alert_spec(
+            Path(__file__).parents[2] / "benchmarks" / "specs" / "slo_default.json"
+        )
+        rule = next(r for r in slo.rules if r.name == "chunk-wall-p99")
+        plan = compile_plan(dataclasses.replace(slo, rules=(rule,)))
+        registry = load_metrics_snapshot(cache / "metrics.prom")
+        (result,) = evaluate(plan, registry=registry).results
+        assert result.state == "ok"
 
     def test_strict_without_baseline_exits_2(self, spec_path, tmp_path, capsys):
         code = main(

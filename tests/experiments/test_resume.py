@@ -137,3 +137,28 @@ class TestSigkillResume:
             spec_from_dict(DOC), tmp_path / "fresh", cache_dir=tmp_path / "cache"
         )
         assert result.matrix_path.read_bytes() == fresh.matrix_path.read_bytes()
+
+    def test_torn_line_mid_journal_keeps_the_cells_after_it(self, tmp_path):
+        # A torn line is skipped, not taken for the journal's end: every
+        # whole cell after it is restored, and the matrix is unchanged.
+        fresh = run_spec(
+            spec_from_dict(DOC), tmp_path / "fresh", cache_dir=tmp_path / "cache"
+        )
+        lines = [
+            json.dumps(
+                {
+                    "fingerprint": fresh.fingerprint,
+                    "record": record.to_dict(),
+                    "wall_s": record.wall_s,
+                },
+                sort_keys=True,
+            )
+            for record in fresh.records
+        ]
+        lines.insert(1, '{"fingerprint": "trunc')
+        out_dir = tmp_path / "torn"
+        out_dir.mkdir()
+        journal_path(out_dir).write_text("\n".join(lines) + "\n")
+        result = run_spec(spec_from_dict(DOC), out_dir, cache_dir=tmp_path / "cache")
+        assert result.resumed == len(fresh.records)
+        assert result.matrix_path.read_bytes() == fresh.matrix_path.read_bytes()

@@ -12,7 +12,7 @@ from repro.approaches import PerBlockApproach, Workload
 from repro.gpu import CycleBreakdown, CycleClock
 from repro.gpu.clock import Tape, fold, fold_steps
 from repro.reporting import run_experiment
-from repro.reporting.export import _jsonable
+from repro.observe.export import jsonable
 
 BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
@@ -199,7 +199,7 @@ class TestLeftFold:
         golden = json.loads((BASELINES / "paper_artefacts.json").read_text())[eid]
         monkeypatch.setattr(builtins, "sum", compensated_sum)
         data = run_experiment(eid).data
-        assert json.loads(json.dumps(_jsonable(data))) == golden
+        assert json.loads(json.dumps(jsonable(data))) == golden
 
 
 class TestFoldSteps:

@@ -11,7 +11,13 @@ from repro.model import (
     panel_breakdown,
     predict_per_block,
 )
-from repro.model.per_block_model import LU_OPS, QR_OPS, per_block_counts
+from repro.model.per_block_model import (
+    LU_OPS,
+    QR_OPS,
+    _latencies,
+    _price,
+    per_block_counts,
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +85,22 @@ class TestPricesTheCertifiedCounts:
             assert op.flops_cycles == pytest.approx(flops)
             assert op.shared_cycles == pytest.approx(c.shared * params.alpha_sh)
             assert op.sync_cycles == c.syncs * sync
+
+    def test_gauss_jordan_prices_the_launch_its_kernel_runs(self, params):
+        # per_block_gauss_jordan runs n steps on the augmented n x (n + 1)
+        # launch; the model must price that launch, not the square one.
+        for n in range(2, 97):
+            pred = predict_per_block(params, "gauss_jordan", n)
+            cfg = block_config(n, n + 1)
+            ops = _price(
+                per_block_counts("gauss_jordan", n).ops,
+                _latencies(params, cfg, True),
+            )
+            assert pred.config == cfg, n
+            assert len(pred.columns) == n, n
+            assert pred.compute_cycles == pytest.approx(
+                sum(op.total for op in ops), rel=1e-12
+            ), n
 
 
 class TestWholeFactorization:

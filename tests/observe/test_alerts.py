@@ -21,7 +21,7 @@ from repro.observe.alerts import (
     write_alert_state,
 )
 from repro.observe.history import HISTORY_SCHEMA, RunHistory
-from repro.observe.metrics import MetricsRegistry, write_metrics_snapshot
+from repro.observe.metrics import MetricsRegistry, write_prometheus
 
 
 def spec_doc(rules=None):
@@ -472,7 +472,7 @@ class TestCli:
             history.append(record)
         registry = MetricsRegistry()
         registry.inc("repro_runtime_launches_total", len(failures), mode="process")
-        metrics = write_metrics_snapshot(registry, tmp_path / "metrics.json")
+        metrics = write_prometheus(registry, tmp_path / "metrics.prom")
         return spec, history.path, metrics
 
     def _check(self, tmp_path, *extra, failures=(0, 0, 0, 0)):

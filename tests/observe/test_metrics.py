@@ -4,11 +4,14 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observe.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     counter_inc,
+    default_snapshot_path,
     gauge_set,
     histogram_observe,
     load_metrics_snapshot,
@@ -16,7 +19,6 @@ from repro.observe.metrics import (
     prometheus_text,
     set_default_registry,
     set_metrics_enabled,
-    write_metrics_snapshot,
     write_prometheus,
 )
 
@@ -187,17 +189,64 @@ class TestReading:
         assert len(reg) == 4
 
 
-class TestSnapshot:
-    def test_round_trip_preserves_exposition(self):
-        reg = golden_registry()
-        rebuilt = MetricsRegistry.from_snapshot(reg.snapshot())
-        assert prometheus_text(rebuilt) == prometheus_text(reg)
+# Registries of every kind with hostile help and label text.  Family
+# names carry their index so no family is named like another's
+# ``_bucket``/``_sum``/``_count`` sample, and histogram series take no
+# ``le`` label: the exposition format reserves both.
+_TEXT = st.text(max_size=12)
+_LABEL_NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True)
+_LABELS = st.dictionaries(_LABEL_NAMES.filter(lambda s: s != "le"), _TEXT, max_size=3)
+_FINITE = st.floats(
+    allow_nan=False, allow_infinity=False, min_value=-1e17, max_value=1e17
+)
+_BUCKETS = st.lists(_FINITE, min_size=1, max_size=5, unique=True).map(sorted)
 
-    def test_write_and_load_json(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        write_metrics_snapshot(golden_registry(), path)
-        loaded = load_metrics_snapshot(path)
-        assert prometheus_text(loaded) == prometheus_text(golden_registry())
+
+@st.composite
+def registries(draw):
+    reg = MetricsRegistry()
+    for i in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["counter", "gauge", "histogram"]))
+        name = f"m{i}_" + draw(st.from_regex(r"[a-z0-9_:]{0,6}", fullmatch=True))
+        help_text = draw(_TEXT)
+        buckets = draw(st.one_of(st.none(), _BUCKETS))
+        for _ in range(draw(st.integers(1, 3))):
+            labels = draw(_LABELS)
+            if kind == "counter":
+                reg.inc(name, draw(st.floats(0, 1e17)), help=help_text, **labels)
+            elif kind == "gauge":
+                reg.set(name, draw(_FINITE), help=help_text, **labels)
+            else:
+                for value in draw(st.lists(_FINITE, min_size=1, max_size=4)):
+                    reg.observe(
+                        name, value, help=help_text, buckets=buckets, **labels
+                    )
+    return reg
+
+
+class TestSnapshot:
+    """``metrics.prom`` is the one metrics file: its exposition rebuilds
+    the registry exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(registries())
+    def test_round_trip_preserves_exposition(self, reg):
+        rebuilt = parse_prometheus_text(prometheus_text(reg))
+        assert rebuilt.families() == reg.families()
+        for name in reg.families():
+            want, got = reg._families[name], rebuilt._families[name]
+            assert (got.kind, got.help, got.buckets) == (
+                want.kind, want.help, want.buckets
+            )
+            assert got.series.keys() == want.series.keys()
+            for key, value in want.series.items():
+                if want.kind == "histogram":
+                    back = got.series[key]
+                    assert (back.counts, back.total, back.count) == (
+                        value.counts, value.total, value.count
+                    )
+                else:
+                    assert got.series[key] == value
 
     def test_write_and_load_prometheus(self, tmp_path):
         path = tmp_path / "metrics.prom"
@@ -205,15 +254,23 @@ class TestSnapshot:
         loaded = load_metrics_snapshot(path)
         assert prometheus_text(loaded) == prometheus_text(golden_registry())
 
+    def test_default_path_is_the_prom_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert default_snapshot_path() == tmp_path / "metrics.prom"
+        assert write_prometheus(golden_registry()) == tmp_path / "metrics.prom"
+
     def test_load_missing_or_corrupt_is_none(self, tmp_path):
-        assert load_metrics_snapshot(tmp_path / "absent.json") is None
-        bad = tmp_path / "bad.json"
-        bad.write_text("{ truncated")
+        assert load_metrics_snapshot(tmp_path / "absent.prom") is None
+        bad = tmp_path / "bad.prom"
+        bad.write_text("# TYPE x counter\nx{oops 1\n")
+        assert load_metrics_snapshot(bad) is None
+        bad.write_text("# TYPE h histogram\nh_count +Inf\n")
         assert load_metrics_snapshot(bad) is None
 
     def test_load_wrong_schema_is_none(self, tmp_path):
+        # A JSON snapshot left by an older version is not an exposition.
         path = tmp_path / "metrics.json"
-        path.write_text('{"schema": 999, "families": {}}')
+        path.write_text('{"schema": 1, "families": {}}')
         assert load_metrics_snapshot(path) is None
 
 

@@ -13,11 +13,7 @@ import pytest
 from repro.observe import alerts as alerts_mod
 from repro.observe.alerts import load_alert_state
 from repro.observe.history import RunHistory, run_record
-from repro.observe.metrics import (
-    MetricsRegistry,
-    write_metrics_snapshot,
-    write_prometheus,
-)
+from repro.observe.metrics import MetricsRegistry, write_prometheus
 from repro.observe.report import main, render_report
 
 
@@ -121,8 +117,8 @@ class TestRender:
 
 class TestMain:
     def _argv(self, tmp_path, history, registry=None, *extra):
-        metrics = tmp_path / "metrics.json"
-        write_metrics_snapshot(registry or _registry(), metrics)
+        metrics = tmp_path / "metrics.prom"
+        write_prometheus(registry or _registry(), metrics)
         return [
             "--history", str(history.path), "--metrics", str(metrics), *extra
         ]
@@ -162,8 +158,7 @@ class TestMain:
     def test_default_paths_follow_cache_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         _history(tmp_path)  # lands at the default <cache dir>/history.jsonl
-        # Only the .prom exposition exists: main() must fall back to it.
-        write_prometheus(_registry(), tmp_path / "metrics.prom")
+        write_prometheus(_registry())  # the default <cache dir>/metrics.prom
         assert main([]) == 0
         out = capsys.readouterr().out
         assert "Recent runs" in out

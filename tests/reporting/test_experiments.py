@@ -9,7 +9,7 @@ import pytest
 from repro.observe import tracing
 from repro.reporting import experiments, list_experiments, run_experiment
 from repro.reporting.experiments import EXPERIMENTS
-from repro.reporting.export import _jsonable
+from repro.observe.export import jsonable
 
 BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
@@ -40,7 +40,7 @@ class TestRegistry:
         assert len(res.report.splitlines()) >= 3
         assert res.data
         # The simulated fixed point: the data is bitwise the golden's.
-        assert json.loads(json.dumps(_jsonable(res.data))) == golden[eid]
+        assert json.loads(json.dumps(jsonable(res.data))) == golden[eid]
 
 
 class TestCalibration:

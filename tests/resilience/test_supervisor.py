@@ -5,7 +5,9 @@ faults; the fine-grained re-execution accounting drives
 :func:`supervise_pool` directly with a marker-file execute stub.
 """
 
+import concurrent.futures
 import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +244,30 @@ def pool():
     live.close()
 
 
+class _DiesMidSubmission:
+    """A pool that loses a worker while chunks go out: the first chunk's
+    future fails with a broken pool, and the next ``submit`` raises it, as
+    ``ProcessPoolExecutor.submit`` does once a worker has died."""
+
+    def __init__(self, pool):
+        self.pool, self.broken, self.submits = pool, True, 0
+
+    def executor(self):
+        return self if self.broken else self.pool.executor()
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        if self.submits > 1:
+            raise BrokenProcessPool("a worker died")
+        future = concurrent.futures.Future()
+        future.set_exception(BrokenProcessPool("a worker died"))
+        return future
+
+    def kill(self):
+        self.broken = False
+        self.pool.kill()
+
+
 class TestSuperviseAccounting:
     POLICY = RetryPolicy(max_retries=2, backoff_s=0.0)
 
@@ -261,6 +287,20 @@ class TestSuperviseAccounting:
         for chunk in (0, 1, 3):
             assert executions[chunk] == {0}
         assert stats.retries == 1
+
+    def test_pool_broken_during_submission_is_rebuilt(self, tmp_path, pool):
+        # The launch stays on the pool: the chunk whose worker died is
+        # retried, and the chunks that never went out keep their attempt.
+        outcomes, stats = supervise_pool(
+            _entries(tmp_path, 3),
+            execute=_stub_execute,
+            pool=_DiesMidSubmission(pool),
+            policy=self.POLICY,
+            nchunks=3,
+        )
+        assert [outcomes[i].value for i in range(3)] == [0, 10, 20]
+        assert _executions(tmp_path) == {0: {1}, 1: {0}, 2: {0}}
+        assert stats.counts["rebuild"] == 1 and stats.retries == 1
 
     def test_live_pool_comes_back_alive(self, tmp_path, pool):
         first, second = tmp_path / "first", tmp_path / "second"
